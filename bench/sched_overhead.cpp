@@ -53,7 +53,9 @@ Run run_gol(bool cache_on, int iterations, int gpus) {
   sim::Node node(sim::homogeneous_node(sim::titan_black(), gpus),
                  sim::ExecMode::TimingOnly);
   Scheduler sched(node);
-  sched.set_plan_cache_enabled(cache_on);
+  if (!cache_on) {
+    sched.set_plan_cache_capacity(0);
+  }
 
   std::vector<int> dummy(1);
   Matrix<int> a(2048, 2048, "A"), b(2048, 2048, "B");
@@ -86,7 +88,9 @@ Run run_nmf(bool cache_on, int iterations, int gpus) {
   sim::Node node(sim::homogeneous_node(sim::titan_black(), gpus),
                  sim::ExecMode::TimingOnly);
   Scheduler sched(node);
-  sched.set_plan_cache_enabled(cache_on);
+  if (!cache_on) {
+    sched.set_plan_cache_capacity(0);
+  }
 
   std::vector<float> v(1), w, h; // TimingOnly: backing never touched
   nmf::Shape shape;

@@ -18,6 +18,11 @@ namespace maps::multi {
 namespace {
 constexpr maps::Dim3 kBlock2D{32, 8, 1};
 constexpr maps::Dim3 kBlock1D{1, 128, 1};
+/// Host-side software cost charged per task (scheduler bookkeeping) and per
+/// participating device. These values reproduce the paper's sub-1%
+/// unmodified-routine overhead (Table 4); see EXPERIMENTS.md.
+constexpr double kTaskOverheadUs = 60.0;
+constexpr double kPerDeviceOverheadUs = 20.0;
 
 double elapsed_us(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
@@ -134,11 +139,6 @@ Scheduler::~Scheduler() {
     delete head;
     head = next;
   }
-}
-
-void Scheduler::set_task_overhead_us(double task_us, double per_device_us) {
-  task_overhead_us_ = task_us;
-  per_device_overhead_us_ = per_device_us;
 }
 
 void Scheduler::set_exec_threads(unsigned n) {
@@ -318,15 +318,22 @@ void Scheduler::apply_placement(const std::vector<PatternSpec>& specs) {
   }
 }
 
-void Scheduler::analyze_task(std::vector<PatternSpec> specs,
-                             const Work* work) {
+int Scheduler::slots_for(const std::vector<PatternSpec>& specs,
+                         const Work* work) const {
   bool single = work != nullptr && work->single_device;
   for (const auto& s : specs) {
-    monitor_.register_datum(s.datum);
     single = single || s.seg == Segmentation::SingleDevice;
   }
+  return single ? 1 : live_count();
+}
+
+void Scheduler::analyze_task(std::vector<PatternSpec> specs,
+                             const Work* work) {
+  for (const auto& s : specs) {
+    monitor_.register_datum(s.datum);
+  }
   apply_placement(specs);
-  const int slots_eff = single ? 1 : live_count();
+  const int slots_eff = slots_for(specs, work);
   TaskPartition partition = derive_partition(specs, work, slots_eff);
   for (int seg = 0; seg < slots_eff; ++seg) {
     const int slot = live_[static_cast<std::size_t>(seg)];
@@ -885,45 +892,68 @@ Scheduler::plan_task(std::vector<PatternSpec> specs, const Work* work,
   for (const auto& s : specs) {
     monitor_.register_datum(s.datum);
   }
-  // Out-of-core LRU recency: every datum this task references counts as
-  // touched on every live slot, for hit and miss paths alike — a replayed
-  // plan keeps its buffers exactly as warm as a rebuilt one would.
+  // Placement must settle before the fingerprint is taken: the chosen
+  // segment -> slot order is part of the plan's shape identity.
+  apply_placement(specs);
+
+  // Out-of-core residency (DESIGN.md §5.16), decided before the cache
+  // lookup: a replayed plan bakes in the residency it was built under, and
+  // any eviction here clears the cache, so the subsequent miss rebuilds with
+  // the refill copies planned.
+  bool streamed = false;
   if (device_memory_budget_ > 0) {
+    // LRU recency: every datum this task references counts as touched on
+    // every live slot, for hit and miss paths alike — a replayed plan keeps
+    // its buffers exactly as warm as a rebuilt one would.
     const std::uint64_t stamp = ++touch_counter_;
     for (const auto& s : specs) {
       for (int slot : live_) {
         last_touch_[{s.datum->key(), slot}] = stamp;
       }
     }
-  }
-  // Placement must settle before the fingerprint is taken: the chosen
-  // segment -> slot order is part of the plan's shape identity.
-  apply_placement(specs);
-
-  // Budget enforcement must precede the cache lookup: a replayed plan bakes
-  // in the residency it was built under, and any eviction here clears the
-  // cache, so the subsequent miss rebuilds with the refill copies planned.
-  // (build_plan enforces again after recording this task's requirements —
-  // that second pass is exact for first-time tasks whose planned sizes are
-  // unknown here.)
-  if (device_memory_budget_ > 0) {
-    bool single = work != nullptr && work->single_device;
-    for (const auto& s : specs) {
-      single = single || s.seg == Segmentation::SingleDevice;
+    // The task streams when its own working set on some slot — the planned
+    // bytes of every datum it touches there, once its requirements are
+    // recorded (the lazy AnalyzeCall build_plan repeats) — exceeds the
+    // budget. Otherwise colder residents make room for it.
+    const int slots_eff = slots_for(specs, work);
+    const TaskPartition partition = derive_partition(specs, work, slots_eff);
+    for (int seg = 0; seg < slots_eff && !streamed; ++seg) {
+      const int slot = live_[static_cast<std::size_t>(seg)];
+      std::vector<const Datum*> touched;
+      for (const auto& s : specs) {
+        const SegmentReq req = compute_requirement(s, partition, seg);
+        analyzer_.record(s, req, slot);
+        if (req.active && std::none_of(touched.begin(), touched.end(),
+                                       [&](const Datum* d) {
+                                         return d->key() == s.datum->key();
+                                       })) {
+          touched.push_back(s.datum);
+        }
+      }
+      std::size_t working = 0;
+      for (const Datum* d : touched) {
+        working += analyzer_.planned_bytes(d, slot);
+      }
+      streamed = working > device_memory_budget_;
     }
-    enforce_budget(specs, single ? 1 : live_count());
+    if (!streamed) {
+      enforce_budget(specs, slots_eff);
+    }
   }
 
-  const bool want_cache = plan_cache_enabled_ && plan_cache_capacity_ > 0;
-  const bool use_cache = want_cache && cacheable(specs);
-  if (want_cache && !use_cache) {
-    ++stats_.uncacheable_tasks;
-  }
+  const bool use_cache =
+      !streamed && plan_cache_capacity_ > 0 && cacheable(specs);
   if (!use_cache) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto plan = build_plan(std::move(specs), work, hints, label, splittable);
-    stats_.plan_time_us += elapsed_us(t0);
-    ++stats_.plans_built;
+    auto plan =
+        build_plan(std::move(specs), work, hints, label, splittable, streamed);
+    // Streamed plans are counted by spill.streamed_tasks, not as plan
+    // builds: a budgeted chain that streams every task is in steady state.
+    if (!streamed) {
+      stats_.plan_time_us += elapsed_us(t0);
+      ++stats_.plans_built;
+      stats_.uncacheable_tasks += plan_cache_capacity_ > 0 ? 1 : 0;
+    }
     account_dispatch(*plan->shape);
     return plan;
   }
@@ -956,7 +986,8 @@ Scheduler::plan_task(std::vector<PatternSpec> specs, const Work* work,
   // later Invoke hits only if the monitor looks like it does right now.
   auto captures = capture_datums(specs);
   const auto t0 = std::chrono::steady_clock::now();
-  auto plan = build_plan(std::move(specs), work, hints, label, splittable);
+  auto plan = build_plan(std::move(specs), work, hints, label, splittable,
+                         /*streamed=*/false);
   stats_.plan_time_us += elapsed_us(t0);
   ++stats_.plans_built;
   auto post_states = capture_post_states(plan->shape->specs, captures);
@@ -1171,26 +1202,27 @@ void Scheduler::wire_strips(const DevicePlan& dp, DeviceWiring& dw,
 std::shared_ptr<Scheduler::TaskPlan>
 Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
                       const CostHints& hints, const char* label,
-                      bool splittable) {
+                      bool splittable, bool streamed) {
   auto plan = std::make_shared<TaskPlan>();
   plan->handle = next_task_++;
   auto shape_owned = std::make_shared<PlanShape>();
   PlanShape& shape = *shape_owned;
   plan->shape = shape_owned;
   shape.specs = std::move(specs);
+  for (const auto& s : shape.specs) {
+    shape.dims.push_back(s.datum->dims());
+  }
   shape.overlap = overlap_enabled_;
+  shape.streamed = streamed;
+  shape.prefetch = spill_prefetch_;
   planner_.begin_task();
   // Chunks that gate different strips must survive the planner's
   // re-coalescing pass.
   planner_.set_max_coalesce_bytes(overlap_enabled_ ? copy_chunk_bytes_ : 0);
 
-  bool single = work != nullptr && work->single_device;
-  for (const auto& s : shape.specs) {
-    single = single || s.seg == Segmentation::SingleDevice;
-  }
   // Segments [0, slots_eff) map to physical slots through live_; with no
   // device losses the map is the identity and slots_eff == slots().
-  const int slots_eff = single ? 1 : live_count();
+  const int slots_eff = slots_for(shape.specs, work);
   shape.partition = derive_partition(shape.specs, work, slots_eff);
   shape.devices.resize(devices_.size());
   plan->wiring.resize(devices_.size());
@@ -1208,62 +1240,100 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
     }
   }
 
-  // A post-loss repartition widens survivor segments, so requirements can
-  // legitimately outgrow allocations made under the old live set. With fault
-  // tolerance the host mirrors hold every datum, so the stale buffer can be
-  // dropped and re-materialized at the new size; without it the analyzer's
-  // AnalyzeCall-first contract stands (ensure() throws below).
-  if (fault_tolerance_) {
-    bool flushed = false;
+  // Residents a streamed device cannot evict, per segment.
+  std::vector<std::size_t> unevictable(static_cast<std::size_t>(slots_eff),
+                                       0);
+  if (streamed) {
+    check_streamable(shape, reqs, label);
+    ++shape.spill.streamed_tasks;
+    // Streamed plans run against a drained node: the passes below evict.
+    invalidate_plans();
+    bool quiesced = true;
+    // Make the host authoritative for every input: windows read host rows
+    // directly, and the flush itself is spill traffic.
+    std::vector<const void*> flushed;
+    for (const auto& s : shape.specs) {
+      if (!s.is_input || std::find(flushed.begin(), flushed.end(),
+                                   s.datum->key()) != flushed.end()) {
+        continue;
+      }
+      flushed.push_back(s.datum->key());
+      flush_datum_to_host(s.datum);
+    }
+    node_.synchronize();
+    // Clear residency on every active slot: windowed datums stream through
+    // transient buffers, and colder residents make room for the persistent
+    // set. Whole-requirement datums stay resident unless their recorded plan
+    // outgrew the existing buffer. Dirty rows were flushed above, so these
+    // evictions write back nothing for this task's own inputs.
     for (int seg = 0; seg < slots_eff; ++seg) {
       const int slot = live_[static_cast<std::size_t>(seg)];
-      for (const auto& s : shape.specs) {
-        if (!analyzer_.needs_grow(s.datum, slot)) {
+      const auto& sreqs = reqs[static_cast<std::size_t>(seg)];
+      std::vector<const void*> keep;
+      for (std::size_t i = 0; i < shape.specs.size(); ++i) {
+        if (sreqs[i].active && sreqs[i].whole &&
+            !analyzer_.needs_grow(shape.specs[i].datum, slot)) {
+          keep.push_back(shape.specs[i].datum->key());
+        }
+      }
+      for (const auto& r : analyzer_.resident(slot)) {
+        if (std::find(keep.begin(), keep.end(), r.datum->key()) !=
+            keep.end()) {
           continue;
         }
-        if (!flushed) {
-          // In-flight jobs may still read the buffer being replaced, and
-          // cached plans bake its base pointer into their views.
-          for (auto& inv : invokers_) {
-            inv->flush();
+        if (monitor_.pending_aggregation(r.datum) != nullptr ||
+            !r.datum->bound()) {
+          unevictable[static_cast<std::size_t>(seg)] +=
+              r.alloc->buffer->size();
+          continue;
+        }
+        spill_allocation(r.datum, slot, quiesced);
+      }
+    }
+  } else {
+    // A post-loss repartition widens survivor segments, so requirements can
+    // legitimately outgrow allocations made under the old live set. With
+    // fault tolerance the host mirrors hold every datum, so the stale buffer
+    // can be dropped and re-materialized at the new size; without it the
+    // analyzer's AnalyzeCall-first contract stands (ensure() throws below).
+    if (fault_tolerance_) {
+      bool flushed = false;
+      for (int seg = 0; seg < slots_eff; ++seg) {
+        const int slot = live_[static_cast<std::size_t>(seg)];
+        for (const auto& s : shape.specs) {
+          if (!analyzer_.needs_grow(s.datum, slot)) {
+            continue;
           }
-          node_.synchronize();
-          stats_.cache_evictions += cache_.size();
-          cache_.clear();
-          lru_.clear();
-          flushed = true;
-        }
-        analyzer_.grow(s.datum, slot);
-        const int loc = SegmentLocationMonitor::loc(slot);
-        auto av = avail_.find({s.datum->key(), loc});
-        if (av != avail_.end()) {
-          av->second = IntervalEventMap{};
-        }
-        auto ac = access_.find({s.datum->key(), loc});
-        if (ac != access_.end()) {
-          ac->second = AccessIntervalMap{};
-        }
-        monitor_.drop_holdings(s.datum, loc);
-        if (sanitizer_) {
-          sanitizer_->on_holdings_dropped(s.datum, loc);
+          if (!flushed) {
+            // In-flight jobs may still read the buffer being replaced, and
+            // cached plans bake its base pointer into their views.
+            invalidate_plans();
+            flushed = true;
+          }
+          analyzer_.grow(s.datum, slot);
+          const int loc = SegmentLocationMonitor::loc(slot);
+          reset_ordering(s.datum, loc);
+          monitor_.drop_holdings(s.datum, loc);
+          if (sanitizer_) {
+            sanitizer_->on_holdings_dropped(s.datum, loc);
+          }
         }
       }
     }
-  }
-
-  // Out-of-core residency: make room for this task's datums under the
-  // device-memory budget before ensure() materializes them (DESIGN.md §5.16).
-  // streaming_required() already diverted tasks whose own working set cannot
-  // fit, so eviction of colder residents always suffices here (or throws).
-  if (device_memory_budget_ > 0) {
-    enforce_budget(shape.specs, slots_eff);
+    // Make room for this task's datums under the device-memory budget
+    // before ensure() materializes them (DESIGN.md §5.16). Tasks whose own
+    // working set cannot fit stream instead, so eviction of colder
+    // residents always suffices here (or throws).
+    if (device_memory_budget_ > 0) {
+      enforce_budget(shape.specs, slots_eff);
+    }
   }
 
   // Interior/boundary splitting: structurally eligible shapes pass the cost
   // gate once per task; the per-device strip geometry still depends on each
   // slot's block rows (a thin segment may have no interior at all).
-  const bool try_split = splittable && overlap_enabled_ && slots_eff > 1 &&
-                         overlap_eligible(shape.specs) &&
+  const bool try_split = !streamed && splittable && overlap_enabled_ &&
+                         slots_eff > 1 && overlap_eligible(shape.specs) &&
                          overlap_profitable(shape.specs);
 
   for (int seg = 0; seg < slots_eff; ++seg) {
@@ -1277,14 +1347,6 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
       continue;
     }
     ++shape.active_slots;
-
-    const std::vector<StripRange> strip_ranges =
-        try_split ? compute_strips(shape.specs, shape.partition, seg,
-                                   slot_reqs)
-                  : std::vector<StripRange>{};
-    const bool split = strip_ranges.size() >= 2;
-    std::vector<const MemoryAnalyzer::Alloc*> allocs(shape.specs.size(),
-                                                     nullptr);
 
     // Grid context: the multiple-device abstraction (§4, Fig 1b). The grid
     // sees SEGMENT coordinates (device = seg, device_count = slots_eff), so
@@ -1305,44 +1367,35 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
     dp.grid.work_height = static_cast<unsigned>(shape.partition.work_rows);
     dp.grid.ilp_x = shape.partition.ilp_x;
     dp.grid.ilp_y = shape.partition.ilp_y;
+    dp.stats = task_launch_stats(shape.specs, shape.partition, seg, hints,
+                                 label);
+    if (streamed) {
+      plan_windows(shape, dp, dw, seg, slot_reqs,
+                   unevictable[static_cast<std::size_t>(seg)], label);
+      continue;
+    }
+
+    const std::vector<StripRange> strip_ranges =
+        try_split ? compute_strips(shape.specs, shape.partition, seg,
+                                   slot_reqs)
+                  : std::vector<StripRange>{};
+    const bool split = strip_ranges.size() >= 2;
+    std::vector<const MemoryAnalyzer::Alloc*> allocs(shape.specs.size(),
+                                                     nullptr);
 
     // Allocations, views, transfers.
     for (std::size_t i = 0; i < shape.specs.size(); ++i) {
       const PatternSpec& s = shape.specs[i];
       const SegmentReq& req = slot_reqs[i];
       if (!req.active) {
-        dp.views.emplace_back();
-        dp.params.emplace_back();
-        dp.segments.emplace_back();
+        bind_operand(dp, s.datum, req.core, nullptr, 0, 0);
         dp.post.emplace_back();
         continue;
       }
       const auto& alloc = analyzer_.ensure(s.datum, slot);
       allocs[i] = &alloc;
-
-      DeviceView view;
-      view.base = alloc.buffer->data();
-      view.pitch = alloc.row_bytes;
-      view.origin = alloc.origin;
-      view.rows = alloc.rows;
-      view.row_elems = s.datum->row_elems();
-      view.datum_rows = s.datum->rows();
-      view.core_begin = req.core.begin;
-      view.core_end = req.core.end;
-      dp.views.push_back(view);
-
-      RoutineParam param;
-      param.buffer = alloc.buffer;
-      param.byte_offset = alloc.row_offset(static_cast<long>(req.core.begin));
-      param.view = view;
-      dp.params.push_back(param);
-
-      Segment seg;
-      seg.global_row_begin = req.core.begin;
-      seg.global_row_end = req.core.end;
-      seg.m_dimensions = s.datum->dims();
-      seg.m_dimensions[0] = req.core.size();
-      dp.segments.push_back(std::move(seg));
+      bind_operand(dp, s.datum, req.core, alloc.buffer, alloc.origin,
+                   alloc.rows);
 
       PatternPost post;
       post.active = true;
@@ -1387,8 +1440,6 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
       }
     }
 
-    dp.stats = task_launch_stats(shape.specs, shape.partition, seg, hints,
-                                 label);
     if (split) {
       build_strips(shape, dp, seg, slot_reqs, allocs, strip_ranges);
       wire_strips(dp, dw, node_.create_events(static_cast<int>(dp.sub.size())));
@@ -1547,17 +1598,156 @@ Scheduler::replay_plan(const CacheEntry& entry) {
   return plan;
 }
 
+void Scheduler::bind_operand(LaunchBinding& b, const Datum* datum,
+                             RowInterval core, sim::Buffer* buffer,
+                             long origin, std::size_t rows) {
+  b.buffers.push_back(buffer);
+  if (buffer == nullptr) {
+    b.views.emplace_back();
+    return;
+  }
+  DeviceView view;
+  view.base = buffer->data();
+  view.pitch = datum->row_bytes();
+  view.origin = origin;
+  view.rows = rows;
+  view.row_elems = datum->row_elems();
+  view.datum_rows = datum->rows();
+  view.core_begin = core.begin;
+  view.core_end = core.end;
+  b.views.push_back(view);
+}
+
+void Scheduler::issue_copy(sim::StreamId stream, const PlannedCopy& c) {
+  if (c.zero_fill) {
+    node_.memset_device(stream, c.dst_buffer, c.dst_offset, 0, c.bytes);
+  } else if (c.dst_host != nullptr) {
+    node_.memcpy_d2h(stream, c.dst_host, c.src_buffer, c.src_offset, c.bytes);
+  } else if (c.src_host != nullptr) {
+    node_.memcpy_h2d(stream, c.dst_buffer, c.dst_offset, c.src_host, c.bytes);
+  } else if ((force_host_staged_ || c.via_host) &&
+             c.src_buffer->device() != c.dst_buffer->device()) {
+    node_.memcpy_p2p_host_staged(stream, c.dst_buffer, c.dst_offset,
+                                 c.src_buffer, c.src_offset, c.bytes);
+  } else {
+    node_.memcpy_p2p(stream, c.dst_buffer, c.dst_offset, c.src_buffer,
+                     c.src_offset, c.bytes);
+  }
+}
+
+void Scheduler::launch_binding(
+    sim::StreamId stream, int slot, const LaunchBinding& b,
+    const std::vector<std::vector<std::size_t>>& dims,
+    std::function<void()> body, const UnmodifiedRoutine& routine,
+    void* context, const std::vector<std::vector<std::byte>>* consts) {
+  if (!routine) {
+    node_.launch(stream, b.stats, std::move(body));
+    return;
+  }
+  RoutineArgs args;
+  args.node = &node_;
+  args.device_idx = slot;
+  args.sim_device = devices_[static_cast<std::size_t>(slot)];
+  args.stream = stream;
+  args.context = context;
+  args.parameters.resize(b.views.size());
+  args.container_segments.resize(b.views.size());
+  for (std::size_t i = 0; i < b.views.size(); ++i) {
+    if (b.buffers[i] == nullptr) {
+      continue;
+    }
+    const DeviceView& view = b.views[i];
+    RoutineParam& param = args.parameters[i];
+    param.buffer = b.buffers[i];
+    param.byte_offset = static_cast<std::size_t>(
+                            static_cast<long>(view.core_begin) - view.origin) *
+                        view.pitch;
+    param.view = view;
+    Segment& seg = args.container_segments[i];
+    seg.global_row_begin = view.core_begin;
+    seg.global_row_end = view.core_end;
+    seg.m_dimensions = dims[i];
+    seg.m_dimensions[0] = view.core_end - view.core_begin;
+  }
+  args.constants = *consts;
+  if (!routine(args)) {
+    throw std::runtime_error("unmodified routine reported failure");
+  }
+}
+
 void Scheduler::enqueue_device_commands(
     std::shared_ptr<TaskPlan> plan, int slot,
     std::vector<std::function<void()>> bodies, UnmodifiedRoutine routine,
     void* context,
     std::shared_ptr<std::vector<std::vector<std::byte>>> consts,
     bool copies_only) {
-  const DevicePlan& dp = plan->shape->devices[static_cast<std::size_t>(slot)];
+  const PlanShape& sh = *plan->shape;
+  const DevicePlan& dp = sh.devices[static_cast<std::size_t>(slot)];
   const DeviceWiring& dw = plan->wiring[static_cast<std::size_t>(slot)];
   const sim::StreamId copy_stream = copy_streams_[static_cast<std::size_t>(slot)];
+  const sim::StreamId copy_stream2 =
+      copy_streams2_[static_cast<std::size_t>(slot)];
   const sim::StreamId compute_stream =
       compute_streams_[static_cast<std::size_t>(slot)];
+  const auto body = [&](std::size_t k) {
+    return k < bodies.size() ? std::move(bodies[k]) : std::function<void()>{};
+  };
+
+  if (!dp.windows.empty()) {
+    // Streamed device (DESIGN.md §5.16). The node was drained when the plan
+    // was built, so nothing outside the plan needs waiting on: persistent
+    // fills go first on the copy stream, then every window refills on the
+    // copy stream, computes on the compute stream and drains on the second
+    // copy stream, chained by its three events.
+    const auto issue = [&](std::size_t begin, std::size_t end,
+                           sim::StreamId stream) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!dw.copies[i].dropped) {
+          issue_copy(stream, dp.copies[i]);
+        }
+      }
+    };
+    issue(0, dp.windows.front().refill_begin, copy_stream);
+    if (copies_only) {
+      return;
+    }
+    const sim::EventId n = static_cast<sim::EventId>(dp.windows.size());
+    const auto inputs_ready = [&](std::size_t p) {
+      return dw.window_events + static_cast<sim::EventId>(p);
+    };
+    const auto kernel_done = [&](std::size_t p) {
+      return dw.window_events + n + static_cast<sim::EventId>(p);
+    };
+    const auto drain_done = [&](std::size_t p) {
+      return dw.window_events + 2 * n + static_cast<sim::EventId>(p);
+    };
+    for (std::size_t p = 0; p < dp.windows.size(); ++p) {
+      const WindowPass& win = dp.windows[p];
+      // Double-buffer gating. Prefetch on: window p's refill may start as
+      // soon as its buffer set is free — kernel p-2 released the input
+      // temps, drain p-2 released the output temps — so it overlaps window
+      // p-1's kernel. Prefetch off: the naive evict-then-refill baseline
+      // serializes on the PREVIOUS window's drain.
+      if (sh.prefetch) {
+        if (p >= 2) {
+          node_.wait_event_generation(copy_stream, kernel_done(p - 2), 1);
+          node_.wait_event_generation(copy_stream, drain_done(p - 2), 1);
+        }
+      } else if (p >= 1) {
+        node_.wait_event_generation(copy_stream, drain_done(p - 1), 1);
+      }
+      issue(win.refill_begin, win.drain_begin, copy_stream);
+      node_.record_event(inputs_ready(p), copy_stream);
+      node_.wait_event_generation(compute_stream, inputs_ready(p), 1);
+      launch_binding(compute_stream, slot, win, sh.dims, body(p), routine,
+                     context, consts.get());
+      node_.record_event(kernel_done(p), compute_stream);
+      node_.wait_event_generation(copy_stream2, kernel_done(p), 1);
+      issue(win.drain_begin, win.drain_end, copy_stream2);
+      node_.record_event(drain_done(p), copy_stream2);
+    }
+    return;
+  }
 
   // Copies spread over the device's two copy streams so independent
   // transfers exploit both copy engines (§2: "multiple memory copy engines
@@ -1570,29 +1760,15 @@ void Scheduler::enqueue_device_commands(
     const CopyWiring& w = dw.copies[i];
     const int si = stream_bytes[0] <= stream_bytes[1] ? 0 : 1;
     stream_bytes[si] += c.bytes;
-    const sim::StreamId cs =
-        si == 0 ? copy_stream : copy_streams2_[static_cast<std::size_t>(slot)];
+    const sim::StreamId cs = si == 0 ? copy_stream : copy_stream2;
     for (std::uint32_t k = w.wait_begin; k < w.wait_end; ++k) {
       node_.wait_event_generation(cs, dw.wait_pool[k], 1);
     }
-    if (w.dropped) {
-      // Fault injection: the transfer silently never happens, but its done
-      // event still fires so downstream commands are not deadlocked — the
-      // data is simply stale, exactly like a missed inferred copy.
-      node_.record_event(w.done, cs);
-      continue;
-    }
-    if (c.zero_fill) {
-      node_.memset_device(cs, c.dst_buffer, c.dst_offset, 0, c.bytes);
-    } else if (c.src_host != nullptr) {
-      node_.memcpy_h2d(cs, c.dst_buffer, c.dst_offset, c.src_host, c.bytes);
-    } else if ((force_host_staged_ || c.via_host) &&
-               c.src_buffer->device() != c.dst_buffer->device()) {
-      node_.memcpy_p2p_host_staged(cs, c.dst_buffer, c.dst_offset,
-                                   c.src_buffer, c.src_offset, c.bytes);
-    } else {
-      node_.memcpy_p2p(cs, c.dst_buffer, c.dst_offset, c.src_buffer,
-                       c.src_offset, c.bytes);
+    // Fault injection: a dropped transfer silently never happens, but its
+    // done event still fires so downstream commands are not deadlocked —
+    // the data is simply stale, exactly like a missed inferred copy.
+    if (!w.dropped) {
+      issue_copy(cs, c);
     }
     node_.record_event(w.done, cs);
   }
@@ -1620,7 +1796,7 @@ void Scheduler::enqueue_device_commands(
       for (sim::EventId ev : sw.waits) {
         node_.wait_event_generation(stream, ev, 1);
       }
-      node_.launch(stream, sub.stats, std::move(bodies[k]));
+      node_.launch(stream, sub.stats, body(k));
       node_.record_event(sw.done, stream);
     }
     return;
@@ -1629,22 +1805,8 @@ void Scheduler::enqueue_device_commands(
   for (sim::EventId ev : dw.kernel_waits) {
     node_.wait_event_generation(compute_stream, ev, 1);
   }
-  if (routine) {
-    RoutineArgs args;
-    args.node = &node_;
-    args.device_idx = slot;
-    args.sim_device = devices_[static_cast<std::size_t>(slot)];
-    args.stream = compute_stream;
-    args.context = context;
-    args.parameters = dp.params;
-    args.container_segments = dp.segments;
-    args.constants = *consts;
-    if (!routine(args)) {
-      throw std::runtime_error("unmodified routine reported failure");
-    }
-  } else {
-    node_.launch(compute_stream, dp.stats, std::move(bodies.front()));
-  }
+  launch_binding(compute_stream, slot, dp, sh.dims, body(0), routine, context,
+                 consts.get());
   node_.record_event(dw.kernel_done, compute_stream);
 }
 
@@ -1684,81 +1846,20 @@ void Scheduler::set_device_memory_budget(std::size_t bytes) {
   if (tasks_scheduled() != 0) {
     // Mid-chain budget change: cached plans bake in residency decisions made
     // under the old budget, and in-flight jobs may reference buffers the new
-    // policy is about to evict — quiesce and drop the cache wholesale.
-    for (auto& inv : invokers_) {
-      inv->flush();
-    }
-    node_.synchronize();
-    stats_.cache_evictions += cache_.size();
-    cache_.clear();
-    lru_.clear();
+    // policy is about to evict.
+    invalidate_plans();
   }
   device_memory_budget_ = bytes;
 }
 
-bool Scheduler::streaming_required(const std::vector<PatternSpec>& specs,
-                                   const Work* work) {
-  if (device_memory_budget_ == 0 || specs.empty()) {
-    return false;
+void Scheduler::invalidate_plans() {
+  for (auto& inv : invokers_) {
+    inv->flush();
   }
-  bool single = work != nullptr && work->single_device;
-  for (const auto& s : specs) {
-    monitor_.register_datum(s.datum);
-    single = single || s.seg == Segmentation::SingleDevice;
-  }
-  const int slots_eff = single ? 1 : live_count();
-  const TaskPartition partition = derive_partition(specs, work, slots_eff);
-  // Per-slot working set of THIS task alone: the bounding-box bytes ensure()
-  // would materialize per referenced datum — the hull of the task's
-  // requirements with any previously recorded plan. Computed without touching
-  // the analyzer: the decision must be free of side effects on slots a
-  // subsequent placement pass may re-map.
-  for (int seg = 0; seg < slots_eff; ++seg) {
-    const int slot = live_[static_cast<std::size_t>(seg)];
-    struct Hull {
-      long origin = 0;
-      long end = 0;
-      std::size_t tail = 0;
-      std::size_t row_bytes = 0;
-    };
-    std::vector<std::pair<const void*, Hull>> hulls;
-    for (const auto& s : specs) {
-      const SegmentReq req = compute_requirement(s, partition, seg);
-      if (!req.active) {
-        continue;
-      }
-      long origin = req.origin;
-      long end = req.origin + static_cast<long>(req.local_rows);
-      std::size_t tail = s.agg == AggregationKind::MaskedMerge
-                             ? s.datum->rows() * s.datum->row_elems()
-                             : 0;
-      if (const auto* plan = analyzer_.plan(s.datum, slot)) {
-        origin = std::min(origin, plan->origin);
-        end = std::max(end, plan->end);
-        tail = std::max(tail, plan->extra_tail_bytes);
-      }
-      auto it = std::find_if(
-          hulls.begin(), hulls.end(),
-          [&](const auto& h) { return h.first == s.datum->key(); });
-      if (it == hulls.end()) {
-        hulls.emplace_back(s.datum->key(),
-                           Hull{origin, end, tail, s.datum->row_bytes()});
-      } else {
-        it->second.origin = std::min(it->second.origin, origin);
-        it->second.end = std::max(it->second.end, end);
-        it->second.tail = std::max(it->second.tail, tail);
-      }
-    }
-    std::size_t working = 0;
-    for (const auto& [key, h] : hulls) {
-      working +=
-          static_cast<std::size_t>(h.end - h.origin) * h.row_bytes + h.tail;
-    }
-    if (working > device_memory_budget_) {
-      return true;
-    }
-  }
-  return false;
+  node_.synchronize();
+  stats_.cache_evictions += cache_.size();
+  cache_.clear();
+  lru_.clear();
 }
 
 void Scheduler::enforce_budget(const std::vector<PatternSpec>& specs,
@@ -1839,15 +1940,7 @@ void Scheduler::enforce_budget(const std::vector<PatternSpec>& specs,
 void Scheduler::spill_allocation(const Datum* datum, int slot,
                                  bool& quiesced) {
   if (!quiesced) {
-    // In-flight jobs may reference the buffer being freed, and cached plans
-    // bake in residency this eviction invalidates.
-    for (auto& inv : invokers_) {
-      inv->flush();
-    }
-    node_.synchronize();
-    stats_.cache_evictions += cache_.size();
-    cache_.clear();
-    lru_.clear();
+    invalidate_plans();
     quiesced = true;
   }
   const auto* alloc = analyzer_.find(datum, slot);
@@ -1859,8 +1952,6 @@ void Scheduler::spill_allocation(const Datum* datum, int slot,
   const IntervalSet held = monitor_.up_to_date(datum, loc);
   const IntervalSet& host =
       monitor_.up_to_date(datum, SegmentLocationMonitor::kHost);
-  const std::size_t row_bytes = datum->row_bytes();
-  const sim::StreamId stream = copy_streams2_[static_cast<std::size_t>(slot)];
   for (const RowInterval& iv : held.intervals()) {
     for (const RowInterval& dirty : host.missing_from(iv)) {
       // Rows valid only on this device: write them back before freeing.
@@ -1869,21 +1960,7 @@ void Scheduler::spill_allocation(const Datum* datum, int slot,
                              "' holds device-only rows but has no bound host "
                              "buffer to spill into");
       }
-      const std::size_t bytes = dirty.size() * row_bytes;
-      node_.memcpy_d2h(stream, datum->host_row(dirty.begin), alloc->buffer,
-                       alloc->row_offset(static_cast<long>(dirty.begin)),
-                       bytes);
-      ++stats_.spill.transfers.copies_issued;
-      TransferPlanner::account(
-          stats_.spill.transfers, node_.topology(),
-          sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
-          sim::Endpoint::host(), false, bytes);
-      stats_.spill.bytes_spilled += bytes;
-      monitor_.mark_copied(datum, SegmentLocationMonitor::kHost, dirty);
-      if (sanitizer_ != nullptr) {
-        sanitizer_->on_copy(datum, loc, SegmentLocationMonitor::kHost, dirty);
-      }
-      ++host_content_stamp_[datum->key()];
+      write_back(datum, slot, *alloc, dirty);
     }
   }
   // The holdings become "spilled": the refill classifier in plan_copies_for
@@ -1894,14 +1971,7 @@ void Scheduler::spill_allocation(const Datum* datum, int slot,
   if (sanitizer_ != nullptr) {
     sanitizer_->on_holdings_dropped(datum, loc);
   }
-  auto av = avail_.find({datum->key(), loc});
-  if (av != avail_.end()) {
-    av->second = IntervalEventMap{};
-  }
-  auto ac = access_.find({datum->key(), loc});
-  if (ac != access_.end()) {
-    ac->second = AccessIntervalMap{};
-  }
+  reset_ordering(datum, loc);
   // The write-backs above must land before the buffer is freed.
   node_.synchronize();
   analyzer_.evict(datum, slot);
@@ -1909,9 +1979,8 @@ void Scheduler::spill_allocation(const Datum* datum, int slot,
 }
 
 void Scheduler::flush_datum_to_host(Datum* datum) {
-  const auto ops = monitor_.plan_copies(
-      datum, SegmentLocationMonitor::kHost, RowInterval{0, datum->rows()});
-  const std::size_t row_bytes = datum->row_bytes();
+  const auto ops = monitor_.plan_copies(datum, SegmentLocationMonitor::kHost,
+                                        RowInterval{0, datum->rows()});
   for (const auto& op : ops) {
     if (op.src_location == SegmentLocationMonitor::kHost || op.rows.empty()) {
       continue;
@@ -1923,34 +1992,47 @@ void Scheduler::flush_datum_to_host(Datum* datum) {
           "out-of-core: monitor holds rows of datum '" + datum->name() +
           "' on a slot with no allocation");
     }
-    const std::size_t bytes = op.rows.size() * row_bytes;
-    node_.memcpy_d2h(copy_streams2_[static_cast<std::size_t>(src_slot)],
-                     datum->host_row(op.rows.begin), alloc->buffer,
-                     alloc->row_offset(static_cast<long>(op.rows.begin)),
-                     bytes);
-    ++stats_.spill.transfers.copies_issued;
-    TransferPlanner::account(
-        stats_.spill.transfers, node_.topology(),
-        sim::Endpoint::dev(devices_[static_cast<std::size_t>(src_slot)]),
-        sim::Endpoint::host(), false, bytes);
-    stats_.spill.bytes_spilled += bytes;
-    monitor_.mark_copied(datum, SegmentLocationMonitor::kHost, op.rows);
-    if (sanitizer_ != nullptr) {
-      sanitizer_->on_copy(datum, op.src_location,
-                          SegmentLocationMonitor::kHost, op.rows);
-    }
-    ++host_content_stamp_[datum->key()];
+    write_back(datum, src_slot, *alloc, op.rows);
   }
 }
 
-TaskHandle Scheduler::dispatch_streamed(
-    std::vector<PatternSpec> specs, const Work* work, const CostHints& hints,
-    const char* label, const BodyFactory& factory, UnmodifiedRoutine routine,
-    void* context, std::vector<std::vector<std::byte>> consts) {
-  // Structural guards: shapes the window decomposition cannot stream. Each
-  // failure names its cause — the edge-case tests pin these diagnostics.
+void Scheduler::write_back(const Datum* datum, int slot,
+                           const MemoryAnalyzer::Alloc& alloc,
+                           RowInterval rows) {
+  const std::size_t bytes = rows.size() * datum->row_bytes();
+  node_.memcpy_d2h(copy_streams2_[static_cast<std::size_t>(slot)],
+                   datum->host_row(rows.begin), alloc.buffer,
+                   alloc.row_offset(static_cast<long>(rows.begin)), bytes);
+  ++stats_.spill.transfers.copies_issued;
+  TransferPlanner::account(
+      stats_.spill.transfers, node_.topology(),
+      sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
+      sim::Endpoint::host(), false, bytes);
+  stats_.spill.bytes_spilled += bytes;
+  monitor_.mark_copied(datum, SegmentLocationMonitor::kHost, rows);
+  if (sanitizer_ != nullptr) {
+    sanitizer_->on_copy(datum, SegmentLocationMonitor::loc(slot),
+                        SegmentLocationMonitor::kHost, rows);
+  }
+  ++host_content_stamp_[datum->key()];
+}
+
+void Scheduler::reset_ordering(const Datum* datum, int loc) {
+  auto av = avail_.find({datum->key(), loc});
+  if (av != avail_.end()) {
+    av->second = IntervalEventMap{};
+  }
+  auto ac = access_.find({datum->key(), loc});
+  if (ac != access_.end()) {
+    ac->second = AccessIntervalMap{};
+  }
+}
+
+void Scheduler::check_streamable(
+    const PlanShape& shape, const std::vector<std::vector<SegmentReq>>& reqs,
+    const char* label) const {
+  const auto& specs = shape.specs;
   for (const auto& s : specs) {
-    monitor_.register_datum(s.datum);
     if (s.custom_rows) {
       throw OutOfCoreError(
           "out-of-core: task '" + std::string(label) +
@@ -1976,7 +2058,8 @@ TaskHandle Scheduler::dispatch_streamed(
                            "streamed task can read it");
     }
   }
-  for (const auto& out : specs) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const PatternSpec& out = specs[i];
     if (out.is_input) {
       continue;
     }
@@ -1988,10 +2071,8 @@ TaskHandle Scheduler::dispatch_streamed(
           "tile the output; raise the device memory budget");
     }
     for (const auto& in : specs) {
-      if (!in.is_input || in.datum->key() != out.datum->key()) {
-        continue;
-      }
-      if (in.radius_low > 0 || in.radius_high > 0) {
+      if (in.is_input && in.datum->key() == out.datum->key() &&
+          (in.radius_low > 0 || in.radius_high > 0)) {
         throw OutOfCoreError(
             "out-of-core: task '" + std::string(label) +
             "' updates datum '" + out.datum->name() +
@@ -2000,617 +2081,332 @@ TaskHandle Scheduler::dispatch_streamed(
             "device memory budget");
       }
     }
-  }
-
-  // Streamed tasks run synchronously against a drained node: in-flight jobs
-  // may reference buffers evicted below, and cached plans bake in residency
-  // the streaming pass is about to change.
-  for (auto& inv : invokers_) {
-    inv->flush();
-  }
-  node_.synchronize();
-  stats_.cache_evictions += cache_.size();
-  cache_.clear();
-  lru_.clear();
-  bool quiesced = true;
-
-  // LRU recency, mirroring plan_task.
-  {
-    const std::uint64_t stamp = ++touch_counter_;
-    for (const auto& s : specs) {
-      for (int slot : live_) {
-        last_touch_[{s.datum->key(), slot}] = stamp;
-      }
-    }
-  }
-
-  const TaskHandle handle = next_task_++;
-  ++stats_.spill.streamed_tasks;
-  if (sanitizer_ != nullptr) {
-    sanitizer_->begin_context(handle, label);
-  }
-
-  bool single = work != nullptr && work->single_device;
-  for (const auto& s : specs) {
-    single = single || s.seg == Segmentation::SingleDevice;
-  }
-  const int slots_eff = single ? 1 : live_count();
-  // Streamed tasks keep the current segment→slot order: windows of one
-  // segment run entirely on one device, so placement has no halo crossing
-  // to remove.
-  const TaskPartition partition = derive_partition(specs, work, slots_eff);
-  const std::size_t span = partition.rows_per_block_row();
-  const std::size_t work_rows = partition.work_rows;
-
-  std::vector<std::vector<SegmentReq>> reqs(
-      static_cast<std::size_t>(slots_eff));
-  int active_segs = 0;
-  for (int seg = 0; seg < slots_eff; ++seg) {
-    const int slot = live_[static_cast<std::size_t>(seg)];
-    bool any = false;
-    for (const auto& s : specs) {
-      reqs[static_cast<std::size_t>(seg)].push_back(
-          compute_requirement(s, partition, seg));
-      analyzer_.record(s, reqs[static_cast<std::size_t>(seg)].back(), slot);
-      any = any || reqs[static_cast<std::size_t>(seg)].back().active;
-    }
-    if (any) {
-      ++active_segs;
-    }
-  }
-  node_.advance_host_us(task_overhead_us_ +
-                        per_device_overhead_us_ * active_segs);
-
-  // Sum outputs must be whole-datum duplicates (the same invariant the
-  // in-core reductive path relies on): each slot then accumulates its
-  // private partial across its windows in ascending block-row order — the
-  // same sweep order as the unsplit kernel, which is what keeps float
-  // partials bit-identical.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].is_input || specs[i].agg != AggregationKind::Sum) {
+    // Sum outputs must be whole-datum duplicates (the same invariant the
+    // in-core reductive path relies on): each slot then accumulates its
+    // private partial across its windows in ascending block-row order — the
+    // same sweep order as the unsplit kernel, which is what keeps float
+    // partials bit-identical.
+    if (out.agg != AggregationKind::Sum) {
       continue;
     }
-    for (int seg = 0; seg < slots_eff; ++seg) {
-      const SegmentReq& r = reqs[static_cast<std::size_t>(seg)][i];
-      if (r.active && !r.whole) {
+    for (const auto& seg_reqs : reqs) {
+      if (seg_reqs[i].active && !seg_reqs[i].whole) {
         throw OutOfCoreError(
-            "out-of-core: Sum output datum '" + specs[i].datum->name() +
+            "out-of-core: Sum output datum '" + out.datum->name() +
             "' is not duplicated whole — partitioned reductive outputs "
             "cannot be streamed");
       }
     }
   }
+}
 
-  // 1. Make the host authoritative for every input: windows read host rows
-  // directly, and the flush itself is spill traffic.
-  {
-    std::vector<const void*> flushed;
-    for (const auto& s : specs) {
-      if (!s.is_input || std::find(flushed.begin(), flushed.end(),
-                                   s.datum->key()) != flushed.end()) {
-        continue;
-      }
-      flushed.push_back(s.datum->key());
-      flush_datum_to_host(s.datum);
+void Scheduler::plan_windows(PlanShape& shape, DevicePlan& dp,
+                             DeviceWiring& dw, int seg,
+                             const std::vector<SegmentReq>& reqs,
+                             std::size_t persistent_bytes,
+                             const char* label) {
+  const auto& specs = shape.specs;
+  const int slot = live_[static_cast<std::size_t>(seg)];
+  const int loc = SegmentLocationMonitor::loc(slot);
+  const sim::Endpoint host = sim::Endpoint::host();
+  const sim::Endpoint dev =
+      sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]);
+  const RowInterval sblocks =
+      shape.partition.block_rows[static_cast<std::size_t>(seg)];
+  const std::size_t nblocks = sblocks.size();
+  dp.post.resize(specs.size());
+  // Every streamed copy is residency traffic: host-sourced fills and
+  // refills, host-bound drains.
+  const auto add_copy = [&](const PlannedCopy& c) {
+    if (!c.zero_fill) {
+      ++shape.spill.transfers.copies_issued;
+      const bool drain = c.dst_host != nullptr;
+      TransferPlanner::account(shape.spill.transfers, node_.topology(),
+                               drain ? dev : host, drain ? host : dev, false,
+                               c.bytes);
+      (drain ? shape.spill.bytes_spilled : shape.spill.bytes_refilled) +=
+          c.bytes;
     }
-    node_.synchronize();
-  }
+    dp.copies.push_back(c);
+  };
 
-  // 2. Clear residency on every active slot: windowed datums stream through
-  // transient buffers, and colder residents make room for the persistent
-  // set. Whole-requirement datums stay resident unless their recorded plan
-  // outgrew the existing buffer. Dirty rows were flushed above, so these
-  // evictions write back nothing for this task's own inputs.
-  std::vector<std::size_t> unevictable(static_cast<std::size_t>(slots_eff),
-                                       0);
-  for (int seg = 0; seg < slots_eff; ++seg) {
-    const int slot = live_[static_cast<std::size_t>(seg)];
-    const auto& sreqs = reqs[static_cast<std::size_t>(seg)];
-    std::vector<const void*> keep;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (sreqs[i].active && sreqs[i].whole &&
-          !analyzer_.needs_grow(specs[i].datum, slot)) {
-        keep.push_back(specs[i].datum->key());
-      }
-    }
-    const auto residents = analyzer_.resident(slot);
-    for (const auto& r : residents) {
-      if (std::find(keep.begin(), keep.end(), r.datum->key()) != keep.end()) {
-        continue;
-      }
-      if (monitor_.pending_aggregation(r.datum) != nullptr ||
-          !r.datum->bound()) {
-        unevictable[static_cast<std::size_t>(seg)] += r.alloc->buffer->size();
-        continue;
-      }
-      spill_allocation(r.datum, slot, quiesced);
-    }
-  }
-
-  // 3. Per-segment streamed passes.
-  std::vector<sim::Buffer*> temps;
-  for (int seg = 0; seg < slots_eff; ++seg) {
-    const int slot = live_[static_cast<std::size_t>(seg)];
-    const auto& sreqs = reqs[static_cast<std::size_t>(seg)];
-    const RowInterval sblocks =
-        partition.block_rows[static_cast<std::size_t>(seg)];
-    const std::size_t nblocks = sblocks.size();
-    bool any = false;
-    for (const auto& r : sreqs) {
-      any = any || r.active;
-    }
-    if (!any || nblocks == 0) {
-      continue;
-    }
-    const sim::StreamId cs = copy_streams_[static_cast<std::size_t>(slot)];
-    const sim::StreamId ks = compute_streams_[static_cast<std::size_t>(slot)];
-    const sim::StreamId ds = copy_streams2_[static_cast<std::size_t>(slot)];
-    const int loc = SegmentLocationMonitor::loc(slot);
-
-    // 3a. Persistent (window-invariant) residents: replicated inputs and
-    // whole-datum reductive partials.
-    std::size_t persistent_bytes = unevictable[static_cast<std::size_t>(seg)];
-    std::vector<const MemoryAnalyzer::Alloc*> wallocs(specs.size(), nullptr);
-    std::vector<const void*> filled;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const SegmentReq& req = sreqs[i];
-      if (!req.active || !req.whole) {
-        continue;
-      }
-      const auto& alloc = analyzer_.ensure(specs[i].datum, slot);
-      wallocs[i] = &alloc;
-      const Datum* d = specs[i].datum;
-      if (std::find(filled.begin(), filled.end(), d->key()) != filled.end()) {
-        continue;
-      }
-      filled.push_back(d->key());
-      persistent_bytes += alloc.buffer->size();
-      for (const CopyRegion& region : req.input_regions) {
-        if (region.zero_fill) {
-          // Reductive partial: fresh zeros every task, like the in-core
-          // zero-fill copy.
-          node_.memset_device(cs, alloc.buffer, 0, 0, alloc.buffer->size());
-          continue;
-        }
-        // Upload only what the device does not already hold — kept
-        // residents stay warm across a task chain.
-        for (const RowInterval& miss :
-             monitor_.up_to_date(d, loc).missing_from(region.global)) {
-          const long local = region.local_row +
-                             static_cast<long>(miss.begin) -
-                             static_cast<long>(region.global.begin) +
-                             (req.origin - alloc.origin);
-          const std::size_t bytes = miss.size() * alloc.row_bytes;
-          node_.memcpy_h2d(cs, alloc.buffer,
-                           static_cast<std::size_t>(local) * alloc.row_bytes,
-                           d->host_row(miss.begin), bytes);
-          ++stats_.spill.transfers.copies_issued;
-          TransferPlanner::account(
-              stats_.spill.transfers, node_.topology(),
-              sim::Endpoint::host(),
-              sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
-              false, bytes);
-          stats_.spill.bytes_refilled += bytes;
-          monitor_.mark_copied(d, loc, miss);
-          if (sanitizer_ != nullptr) {
-            sanitizer_->on_copy(d, SegmentLocationMonitor::kHost, loc, miss);
-          }
-        }
-      }
-    }
-
-    // 3b. Window size from the linear local-rows model of each streamed
-    // pattern: probing 1- and 2-block-row windows gives the per-block-row
-    // slope and the fixed overhead (halo rows), which
-    // streaming_window_block_rows turns into the largest double-bufferable
-    // window. The doubled fixed bytes ride in the persistent term — both
-    // ping-pong buffer sets carry them.
-    std::size_t slope_bytes = 0;
-    std::size_t fixed_bytes = 0;
-    bool any_windowed = false;
-    {
-      TaskPartition p1 = partition;
-      p1.block_rows = {RowInterval{sblocks.begin, sblocks.begin + 1}};
-      p1.work_row_ranges = {
-          RowInterval{std::min(sblocks.begin * span, work_rows),
-                      std::min((sblocks.begin + 1) * span, work_rows)}};
-      TaskPartition p2 = partition;
-      if (nblocks >= 2) {
-        p2.block_rows = {RowInterval{sblocks.begin, sblocks.begin + 2}};
-        p2.work_row_ranges = {
-            RowInterval{std::min(sblocks.begin * span, work_rows),
-                        std::min((sblocks.begin + 2) * span, work_rows)}};
-      }
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (!sreqs[i].active || sreqs[i].whole) {
-          continue;
-        }
-        any_windowed = true;
-        const std::size_t row_bytes = specs[i].datum->row_bytes();
-        const std::size_t l1 =
-            compute_requirement(specs[i], p1, 0).local_rows;
-        std::size_t slope = l1;
-        std::size_t fixed = 0;
-        if (nblocks >= 2) {
-          const std::size_t l2 =
-              compute_requirement(specs[i], p2, 0).local_rows;
-          slope = l2 - l1;
-          fixed = l1 > slope ? l1 - slope : 0;
-        }
-        slope_bytes += slope * row_bytes;
-        fixed_bytes += fixed * row_bytes;
-      }
-    }
-    std::size_t W = nblocks;
-    if (any_windowed) {
-      W = streaming_window_block_rows(slope_bytes,
-                                      persistent_bytes + 2 * fixed_bytes,
-                                      device_memory_budget_, nblocks);
-      if (W == 0) {
-        throw OutOfCoreError(
-            "out-of-core: device memory budget of " +
-            std::to_string(device_memory_budget_) +
-            " bytes cannot hold a single streaming window of task '" +
-            std::string(label) + "' on slot " + std::to_string(slot) +
-            " (window-invariant residents need " +
-            std::to_string(persistent_bytes + 2 * fixed_bytes) +
-            " bytes, one window block-row streams " +
-            std::to_string(slope_bytes) +
-            " bytes, double-buffered) — the budget is smaller than one "
-            "segment");
-      }
-    } else if (persistent_bytes > device_memory_budget_) {
-      throw OutOfCoreError(
-          "out-of-core: the whole-datum residents of task '" +
-          std::string(label) + "' alone need " +
-          std::to_string(persistent_bytes) +
-          " bytes on slot " + std::to_string(slot) +
-          ", exceeding the device memory budget of " +
-          std::to_string(device_memory_budget_) +
-          " bytes — the budget is smaller than one segment");
-    }
-    const std::size_t nwindows = (nblocks + W - 1) / W;
-    stats_.spill.pass_count += nwindows;
-
-    // Window requirements precomputed — windows are spans of the segment's
-    // block rows, a pure function of the partition.
-    std::vector<std::vector<SegmentReq>> wreqs(nwindows);
-    std::vector<RowInterval> wblocks(nwindows);
-    std::vector<std::size_t> max_rows(specs.size(), 0);
-    for (std::size_t p = 0; p < nwindows; ++p) {
-      const std::size_t b0 = sblocks.begin + p * W;
-      const std::size_t b1 = std::min(b0 + W, sblocks.end);
-      wblocks[p] = RowInterval{b0, b1};
-      TaskPartition cp = partition;
-      cp.block_rows = {RowInterval{b0, b1}};
-      cp.work_row_ranges = {RowInterval{std::min(b0 * span, work_rows),
-                                        std::min(b1 * span, work_rows)}};
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        wreqs[p].push_back(compute_requirement(specs[i], cp, 0));
-        if (!sreqs[i].whole && wreqs[p].back().active) {
-          max_rows[i] = std::max(max_rows[i], wreqs[p].back().local_rows);
-        }
-      }
-    }
-
-    // In-place updates: an output spec whose datum this task also reads must
-    // stream through the SAME window temporary as the input spec — the
-    // in-core path aliases their device allocation, and routines
-    // read-modify-write through the output parameter (W *= ... in NMF's
-    // wupdate). The radius guard above makes the two window geometries
-    // identical (radius 0, unit row scale).
-    std::vector<std::size_t> alias(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      alias[i] = i;
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].is_input || sreqs[i].whole) {
-        continue;
-      }
-      for (std::size_t j = 0; j < specs.size(); ++j) {
-        if (!specs[j].is_input || sreqs[j].whole ||
-            specs[j].datum->key() != specs[i].datum->key()) {
-          continue;
-        }
-        alias[i] = j;
-        max_rows[j] = std::max(max_rows[j], max_rows[i]);
-        max_rows[i] = 0; // shares j's temporary
-        break;
-      }
-    }
-    for (std::size_t p = 0; p < nwindows; ++p) {
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (alias[i] != i && wreqs[p][i].active &&
-            wreqs[p][i].origin != wreqs[p][alias[i]].origin) {
-          throw OutOfCoreError(
-              "out-of-core: task '" + std::string(label) +
-              "' updates datum '" + specs[i].datum->name() +
-              "' in place but its input and output window geometries "
-              "disagree — it cannot be streamed; raise the device memory "
-              "budget");
-        }
-      }
-    }
-
-    // Ping-pong temporaries: window p streams through set p % 2, so the
-    // refill of window p can overlap the kernel of window p - 1 under
-    // prefetch. Transient residency is deliberately NOT recorded in the
-    // location monitor — the buffers die with the pass.
-    std::vector<sim::Buffer*> wbufs[2] = {
-        std::vector<sim::Buffer*>(specs.size(), nullptr),
-        std::vector<sim::Buffer*>(specs.size(), nullptr)};
-    for (int set = 0; set < 2; ++set) {
-      if (set == 1 && nwindows < 2) {
-        break;
-      }
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (max_rows[i] == 0) {
-          continue;
-        }
-        sim::Buffer* buf = node_.malloc_device(
-            devices_[static_cast<std::size_t>(slot)],
-            max_rows[i] * specs[i].datum->row_bytes());
-        temps.push_back(buf);
-        wbufs[set][i] = buf;
-      }
-    }
-    if (nwindows < 2) {
-      wbufs[1] = wbufs[0];
-    }
-    for (int set = 0; set < 2; ++set) {
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (alias[i] != i) {
-          wbufs[set][i] = wbufs[set][alias[i]];
-        }
-      }
-    }
-
-    const sim::EventId ev0 =
-        node_.create_events(static_cast<int>(3 * nwindows));
-    const auto inputs_ready = [&](std::size_t p) {
-      return ev0 + static_cast<sim::EventId>(p);
-    };
-    const auto kernel_done = [&](std::size_t p) {
-      return ev0 + static_cast<sim::EventId>(nwindows + p);
-    };
-    const auto drain_done = [&](std::size_t p) {
-      return ev0 + static_cast<sim::EventId>(2 * nwindows + p);
-    };
-
-    sim::LaunchStats dev_stats{};
-    if (factory) {
-      dev_stats = task_launch_stats(specs, partition, seg, hints, label);
-    }
-
-    for (std::size_t p = 0; p < nwindows; ++p) {
-      const RowInterval wb = wblocks[p];
-      const auto& wr = wreqs[p];
-      const int set = static_cast<int>(p % 2);
-      // Double-buffer gating. Prefetch on: window p's refill may start as
-      // soon as its buffer set is free — kernel p-2 released the input
-      // temps, drain p-2 released the output temps — so it overlaps window
-      // p-1's kernel. Prefetch off: the naive evict-then-refill baseline
-      // serializes on the PREVIOUS window's drain.
-      if (spill_prefetch_) {
-        if (p >= 2) {
-          node_.wait_event_generation(cs, kernel_done(p - 2), 1);
-          node_.wait_event_generation(cs, drain_done(p - 2), 1);
-        }
-      } else if (p >= 1) {
-        node_.wait_event_generation(cs, drain_done(p - 1), 1);
-      }
-
-      // Refill: window inputs straight from the flushed host rows.
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (sreqs[i].whole || !wr[i].active) {
-          continue;
-        }
-        sim::Buffer* buf = wbufs[set][i];
-        const Datum* d = specs[i].datum;
-        const std::size_t row_bytes = d->row_bytes();
-        for (const CopyRegion& region : wr[i].input_regions) {
-          if (region.zero_fill) {
-            node_.memset_device(
-                cs, buf, static_cast<std::size_t>(region.local_row) *
-                             row_bytes,
-                0, row_bytes);
-            continue;
-          }
-          const std::size_t bytes = region.global.size() * row_bytes;
-          node_.memcpy_h2d(cs, buf,
-                           static_cast<std::size_t>(region.local_row) *
-                               row_bytes,
-                           d->host_row(region.global.begin), bytes);
-          ++stats_.spill.transfers.copies_issued;
-          TransferPlanner::account(
-              stats_.spill.transfers, node_.topology(),
-              sim::Endpoint::host(),
-              sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
-              false, bytes);
-          stats_.spill.bytes_refilled += bytes;
-          if (sanitizer_ != nullptr) {
-            sanitizer_->on_read(d, SegmentLocationMonitor::kHost,
-                                region.global);
-          }
-        }
-      }
-      node_.record_event(inputs_ready(p), cs);
-
-      // Kernel over the window's block rows. The event wait transitively
-      // covers the persistent fills issued on the same copy stream.
-      node_.wait_event_generation(ks, inputs_ready(p), 1);
-      maps::GridContext gc;
-      gc.grid_dim = maps::Dim3{static_cast<unsigned>(partition.blocks_x),
-                               static_cast<unsigned>(partition.blocks_y), 1};
-      gc.block_dim = partition.block_dim;
-      gc.block_row_offset = static_cast<unsigned>(wb.begin);
-      gc.block_rows = static_cast<unsigned>(wb.size());
-      gc.device = seg;
-      gc.device_count = slots_eff;
-      gc.work_width = static_cast<unsigned>(partition.work_cols);
-      gc.work_height = static_cast<unsigned>(partition.work_rows);
-      gc.ilp_x = partition.ilp_x;
-      gc.ilp_y = partition.ilp_y;
-
-      std::vector<DeviceView> views;
-      views.reserve(specs.size());
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (!wr[i].active) {
-          views.emplace_back();
-          continue;
-        }
-        const Datum* d = specs[i].datum;
-        DeviceView view;
-        if (sreqs[i].whole) {
-          const auto* alloc = wallocs[i];
-          view.base = alloc->buffer->data();
-          view.pitch = alloc->row_bytes;
-          view.origin = alloc->origin;
-          view.rows = alloc->rows;
-        } else {
-          sim::Buffer* buf = wbufs[set][i];
-          view.base = buf->data();
-          view.pitch = d->row_bytes();
-          view.origin = wr[i].origin;
-          view.rows = wr[i].local_rows;
-        }
-        view.row_elems = d->row_elems();
-        view.datum_rows = d->rows();
-        view.core_begin = wr[i].core.begin;
-        view.core_end = wr[i].core.end;
-        views.push_back(view);
-      }
-
-      if (factory) {
-        auto body = factory(slot, gc, views);
-        const double frac =
-            static_cast<double>(wb.size()) / static_cast<double>(nblocks);
-        node_.launch(ks, scale_launch_stats(dev_stats, frac),
-                     std::move(body));
-      } else {
-        RoutineArgs args;
-        args.node = &node_;
-        args.device_idx = slot;
-        args.sim_device = devices_[static_cast<std::size_t>(slot)];
-        args.stream = ks;
-        args.context = context;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          if (!wr[i].active) {
-            args.parameters.emplace_back();
-            args.container_segments.emplace_back();
-            continue;
-          }
-          RoutineParam param;
-          if (sreqs[i].whole) {
-            param.buffer = wallocs[i]->buffer;
-            param.byte_offset = wallocs[i]->row_offset(
-                static_cast<long>(wr[i].core.begin));
-          } else {
-            param.buffer = wbufs[set][i];
-            param.byte_offset =
-                static_cast<std::size_t>(
-                    static_cast<long>(wr[i].core.begin) - wr[i].origin) *
-                specs[i].datum->row_bytes();
-          }
-          param.view = views[i];
-          args.parameters.push_back(param);
-          Segment sg;
-          sg.global_row_begin = wr[i].core.begin;
-          sg.global_row_end = wr[i].core.end;
-          sg.m_dimensions = specs[i].datum->dims();
-          sg.m_dimensions[0] = wr[i].core.size();
-          args.container_segments.push_back(std::move(sg));
-        }
-        args.constants = consts;
-        if (!routine(args)) {
-          throw std::runtime_error("unmodified routine reported failure");
-        }
-      }
-      node_.record_event(kernel_done(p), ks);
-
-      // Drain: each plain output's core rows go straight to the host — the
-      // host is the streamed output's resting place, which is exactly what
-      // makes the next task's uploads classify as refills.
-      node_.wait_event_generation(ds, kernel_done(p), 1);
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (specs[i].is_input || sreqs[i].whole || !wr[i].active ||
-            wr[i].core.empty()) {
-          continue;
-        }
-        const Datum* d = specs[i].datum;
-        const std::size_t row_bytes = d->row_bytes();
-        const std::size_t bytes = wr[i].core.size() * row_bytes;
-        node_.memcpy_d2h(
-            ds, d->host_row(wr[i].core.begin), wbufs[set][i],
-            static_cast<std::size_t>(static_cast<long>(wr[i].core.begin) -
-                                     wr[i].origin) *
-                row_bytes,
-            bytes);
-        ++stats_.spill.transfers.copies_issued;
-        TransferPlanner::account(
-            stats_.spill.transfers, node_.topology(),
-            sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
-            sim::Endpoint::host(), false, bytes);
-        stats_.spill.bytes_spilled += bytes;
-        monitor_.mark_written(d, SegmentLocationMonitor::kHost, wr[i].core);
-        if (sanitizer_ != nullptr) {
-          sanitizer_->on_write(d, SegmentLocationMonitor::kHost, wr[i].core);
-        }
-        ++host_content_stamp_[d->key()];
-      }
-      node_.record_event(drain_done(p), ds);
-    }
-  }
-
-  // 4. Pending aggregations: streamed Sum partials resolve through the
-  // ordinary Gather / ReduceScatter machinery. The producing pass cannot be
-  // re-executed per segment after a device loss (no cached plan shape), so
-  // the aggregation log carries a null factory — a subsequent writer loss
-  // fails loudly instead of silently dropping the partial.
+  // Persistent (window-invariant) operands: replicated inputs and
+  // whole-datum reductive partials.
+  std::vector<const MemoryAnalyzer::Alloc*> allocs(specs.size(), nullptr);
+  std::vector<const void*> filled;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const PatternSpec& s = specs[i];
-    if (s.is_input || s.agg == AggregationKind::None) {
+    const SegmentReq& req = reqs[i];
+    if (!req.active || !req.whole) {
       continue;
     }
-    SegmentLocationMonitor::PendingAggregation agg;
-    agg.kind = s.agg;
-    agg.op = s.agg_op;
-    for (int seg = 0; seg < slots_eff; ++seg) {
-      if (reqs[static_cast<std::size_t>(seg)][i].active) {
-        agg.writer_slots.push_back(live_[static_cast<std::size_t>(seg)]);
-      }
+    Datum* d = specs[i].datum;
+    const auto& alloc = analyzer_.ensure(d, slot);
+    allocs[i] = &alloc;
+    if (std::find(filled.begin(), filled.end(), d->key()) != filled.end()) {
+      continue;
     }
-    monitor_.set_pending_aggregation(s.datum, std::move(agg));
-    if (sanitizer_ != nullptr) {
-      sanitizer_->on_pending_aggregation(s.datum);
-    }
-    if (fault_tolerance_) {
-      AggLog log;
-      log.datum = s.datum;
-      log.live = live_;
-      for (const PatternSpec& in : specs) {
-        if (!in.is_input) {
-          continue;
-        }
-        auto it = host_content_stamp_.find(in.datum->key());
-        log.input_stamps.emplace_back(
-            in.datum->key(),
-            it == host_content_stamp_.end() ? 0 : it->second);
+    filled.push_back(d->key());
+    persistent_bytes += alloc.buffer->size();
+    for (const CopyRegion& region : req.input_regions) {
+      PlannedCopy c;
+      c.pattern_index = static_cast<int>(i);
+      c.datum = d;
+      c.dst_location = loc;
+      c.dst_buffer = alloc.buffer;
+      if (region.zero_fill) {
+        // Reductive partial: fresh zeros every task, like the in-core
+        // zero-fill copy.
+        c.zero_fill = true;
+        c.whole_buffer = true;
+        c.bytes = alloc.buffer->size();
+        add_copy(c);
+        continue;
       }
-      agg_log_[s.datum->key()] = std::move(log);
+      // Upload only what the device does not already hold — kept residents
+      // stay warm across a task chain.
+      c.aligned = true;
+      for (const RowInterval& miss :
+           monitor_.up_to_date(d, loc).missing_from(region.global)) {
+        const long local = region.local_row + static_cast<long>(miss.begin) -
+                           static_cast<long>(region.global.begin) +
+                           (req.origin - alloc.origin);
+        c.rows = miss;
+        c.dst_offset = static_cast<std::size_t>(local) * alloc.row_bytes;
+        c.src_host = d->host_row(miss.begin);
+        c.bytes = miss.size() * alloc.row_bytes;
+        add_copy(c);
+        monitor_.mark_copied(d, loc, miss);
+      }
     }
   }
 
-  node_.synchronize();
-  for (sim::Buffer* buf : temps) {
-    node_.free_device(buf);
+  // Window size from the linear local-rows model of each streamed pattern:
+  // probing 1- and 2-block-row windows gives the per-block-row slope and the
+  // fixed overhead (halo rows), which streaming_window_block_rows turns into
+  // the largest double-bufferable window. The doubled fixed bytes ride in
+  // the persistent term — both ping-pong buffer sets carry them.
+  std::size_t slope_bytes = 0;
+  std::size_t fixed_bytes = 0;
+  bool any_windowed = false;
+  const TaskPartition p1 = narrow_partition(
+      shape.partition, RowInterval{sblocks.begin, sblocks.begin + 1});
+  const TaskPartition p2 = narrow_partition(
+      shape.partition,
+      RowInterval{sblocks.begin, sblocks.begin + std::min<std::size_t>(
+                                                     2, nblocks)});
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (!reqs[i].active || reqs[i].whole) {
+      continue;
+    }
+    any_windowed = true;
+    const std::size_t l1 = compute_requirement(specs[i], p1, 0).local_rows;
+    std::size_t slope = l1;
+    std::size_t fixed = 0;
+    if (nblocks >= 2) {
+      const std::size_t l2 = compute_requirement(specs[i], p2, 0).local_rows;
+      slope = l2 - l1;
+      fixed = l1 > slope ? l1 - slope : 0;
+    }
+    slope_bytes += slope * specs[i].datum->row_bytes();
+    fixed_bytes += fixed * specs[i].datum->row_bytes();
   }
-  // A streamed task leaves nothing for repair_structured: its plain outputs
-  // are already host-resident and its partials are covered by the
-  // aggregation log above.
-  last_task_.valid = false;
-  (void)quiesced;
-  return handle;
+  std::size_t W = nblocks;
+  if (any_windowed) {
+    W = streaming_window_block_rows(slope_bytes,
+                                    persistent_bytes + 2 * fixed_bytes,
+                                    device_memory_budget_, nblocks);
+    if (W == 0) {
+      throw OutOfCoreError(
+          "out-of-core: device memory budget of " +
+          std::to_string(device_memory_budget_) +
+          " bytes cannot hold a single streaming window of task '" +
+          std::string(label) + "' on slot " + std::to_string(slot) +
+          " (window-invariant residents need " +
+          std::to_string(persistent_bytes + 2 * fixed_bytes) +
+          " bytes, one window block-row streams " +
+          std::to_string(slope_bytes) +
+          " bytes, double-buffered) — the budget is smaller than one "
+          "segment");
+    }
+  } else if (persistent_bytes > device_memory_budget_) {
+    throw OutOfCoreError(
+        "out-of-core: the whole-datum residents of task '" +
+        std::string(label) + "' alone need " +
+        std::to_string(persistent_bytes) + " bytes on slot " +
+        std::to_string(slot) + ", exceeding the device memory budget of " +
+        std::to_string(device_memory_budget_) +
+        " bytes — the budget is smaller than one segment");
+  }
+  const std::size_t nwindows = (nblocks + W - 1) / W;
+  shape.spill.pass_count += nwindows;
+
+  // Window requirements — windows are spans of the segment's block rows, a
+  // pure function of the partition.
+  std::vector<std::vector<SegmentReq>> wreqs(nwindows);
+  std::vector<RowInterval> wblocks(nwindows);
+  std::vector<std::size_t> max_rows(specs.size(), 0);
+  for (std::size_t p = 0; p < nwindows; ++p) {
+    const std::size_t b0 = sblocks.begin + p * W;
+    wblocks[p] = RowInterval{b0, std::min(b0 + W, sblocks.end)};
+    const TaskPartition wp = narrow_partition(shape.partition, wblocks[p]);
+    wreqs[p].reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      wreqs[p].push_back(compute_requirement(specs[i], wp, 0));
+      if (!reqs[i].whole && wreqs[p].back().active) {
+        max_rows[i] = std::max(max_rows[i], wreqs[p].back().local_rows);
+      }
+    }
+  }
+
+  // In-place updates: an output spec whose datum this task also reads must
+  // stream through the SAME window temporary as the input spec — the
+  // in-core path aliases their device allocation, and routines
+  // read-modify-write through the output parameter (W *= ... in NMF's
+  // wupdate). check_streamable's radius guard makes the two window
+  // geometries identical (radius 0, unit row scale).
+  std::vector<std::size_t> alias(specs.size());
+  std::iota(alias.begin(), alias.end(), std::size_t{0});
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].is_input || reqs[i].whole) {
+      continue;
+    }
+    for (std::size_t j = 0; j < specs.size(); ++j) {
+      if (!specs[j].is_input || reqs[j].whole ||
+          specs[j].datum->key() != specs[i].datum->key()) {
+        continue;
+      }
+      alias[i] = j;
+      max_rows[j] = std::max(max_rows[j], max_rows[i]);
+      max_rows[i] = 0; // shares j's temporary
+      break;
+    }
+  }
+  for (std::size_t p = 0; p < nwindows; ++p) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (alias[i] != i && wreqs[p][i].active &&
+          wreqs[p][i].origin != wreqs[p][alias[i]].origin) {
+        throw OutOfCoreError(
+            "out-of-core: task '" + std::string(label) + "' updates datum '" +
+            specs[i].datum->name() +
+            "' in place but its input and output window geometries "
+            "disagree — it cannot be streamed; raise the device memory "
+            "budget");
+      }
+    }
+  }
+
+  // Ping-pong temporaries: window p streams through set p % 2, so the
+  // refill of window p can overlap the kernel of window p - 1 under
+  // prefetch. Transient residency is deliberately NOT recorded in the
+  // location monitor — the buffers die with the dispatch.
+  std::vector<sim::Buffer*> wbufs[2] = {
+      std::vector<sim::Buffer*>(specs.size(), nullptr),
+      std::vector<sim::Buffer*>(specs.size(), nullptr)};
+  for (int set = 0; set < (nwindows < 2 ? 1 : 2); ++set) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (max_rows[i] == 0) {
+        continue;
+      }
+      wbufs[set][i] = node_.malloc_device(
+          devices_[static_cast<std::size_t>(slot)],
+          max_rows[i] * specs[i].datum->row_bytes());
+      shape.window_temps.push_back(wbufs[set][i]);
+    }
+  }
+  if (nwindows < 2) {
+    wbufs[1] = wbufs[0];
+  }
+  for (auto& set : wbufs) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      set[i] = set[alias[i]];
+    }
+  }
+
+  dp.windows.resize(nwindows);
+  // Per window: one refill per input region and one drain per output.
+  dp.copies.reserve(dp.copies.size() + nwindows * specs.size());
+  for (std::size_t p = 0; p < nwindows; ++p) {
+    WindowPass& win = dp.windows[p];
+    win.views.reserve(specs.size());
+    win.buffers.reserve(specs.size());
+    const RowInterval wb = wblocks[p];
+    const auto& wr = wreqs[p];
+    const auto& bufs = wbufs[p % 2];
+    win.grid = dp.grid;
+    win.grid.block_row_offset = static_cast<unsigned>(wb.begin);
+    win.grid.block_rows = static_cast<unsigned>(wb.size());
+    win.stats = scale_launch_stats(dp.stats, static_cast<double>(wb.size()) /
+                                                 static_cast<double>(nblocks));
+
+    // Refills: window inputs straight from the flushed host rows.
+    win.refill_begin = static_cast<std::uint32_t>(dp.copies.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (reqs[i].whole || !wr[i].active) {
+        continue;
+      }
+      Datum* d = specs[i].datum;
+      const std::size_t row_bytes = d->row_bytes();
+      for (const CopyRegion& region : wr[i].input_regions) {
+        PlannedCopy c;
+        c.pattern_index = static_cast<int>(i);
+        c.datum = d;
+        c.dst_location = loc;
+        c.dst_buffer = bufs[i];
+        c.dst_offset = static_cast<std::size_t>(region.local_row) * row_bytes;
+        c.zero_fill = region.zero_fill;
+        c.bytes = row_bytes;
+        if (!region.zero_fill) {
+          c.rows = region.global;
+          c.src_host = d->host_row(region.global.begin);
+          c.bytes = region.global.size() * row_bytes;
+        }
+        add_copy(c);
+      }
+    }
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (!wr[i].active) {
+        bind_operand(win, specs[i].datum, wr[i].core, nullptr, 0, 0);
+      } else if (reqs[i].whole) {
+        bind_operand(win, specs[i].datum, wr[i].core, allocs[i]->buffer,
+                     allocs[i]->origin, allocs[i]->rows);
+      } else {
+        bind_operand(win, specs[i].datum, wr[i].core, bufs[i], wr[i].origin,
+                     wr[i].local_rows);
+      }
+    }
+
+    // Drains: each plain output's core rows go straight to the host — the
+    // host is the streamed output's resting place, which is exactly what
+    // makes the next task's uploads classify as refills.
+    win.drain_begin = static_cast<std::uint32_t>(dp.copies.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (specs[i].is_input || reqs[i].whole || !wr[i].active ||
+          wr[i].core.empty()) {
+        continue;
+      }
+      Datum* d = specs[i].datum;
+      PlannedCopy c;
+      c.pattern_index = static_cast<int>(i);
+      c.aligned = true;
+      c.datum = d;
+      c.src_location = loc;
+      c.rows = wr[i].core;
+      c.src_buffer = bufs[i];
+      c.src_offset =
+          static_cast<std::size_t>(static_cast<long>(wr[i].core.begin) -
+                                   wr[i].origin) *
+          d->row_bytes();
+      c.dst_host = d->host_row(wr[i].core.begin);
+      c.bytes = wr[i].core.size() * d->row_bytes();
+      add_copy(c);
+      monitor_.mark_written(d, SegmentLocationMonitor::kHost, wr[i].core);
+      ++host_content_stamp_[d->key()];
+    }
+    win.drain_end = static_cast<std::uint32_t>(dp.copies.size());
+  }
+  dw.copies.resize(dp.copies.size());
+  dw.window_events = node_.create_events(static_cast<int>(3 * nwindows));
 }
 
 // --- Fault tolerance & device-loss recovery (DESIGN.md §5.11) ----------------
@@ -2702,43 +2498,62 @@ void Scheduler::enqueue_host_mirrors(const TaskPlan& plan, int skip_slot) {
       if (alloc == nullptr) {
         continue;
       }
-      const sim::EventId ev = node_.create_event();
       std::vector<sim::EventId> waits;
       avail_[{d->key(), sloc}].collect(post.core, waits);
-      access_[{d->key(), sloc}].add_reader(post.core_local, ev);
-      auto& host_access = access_[{d->key(), SegmentLocationMonitor::kHost}];
-      host_access.collect(post.core, waits);
-      host_access.write(post.core, ev);
-      avail_[{d->key(), SegmentLocationMonitor::kHost}].update(post.core, ev);
-      monitor_.mark_copied(d, SegmentLocationMonitor::kHost, post.core);
-      if (sanitizer_ != nullptr) {
-        sanitizer_->on_copy(d, sloc, SegmentLocationMonitor::kHost,
-                            post.core);
-      }
-      ++host_content_stamp_[d->key()];
-      const std::size_t bytes = post.core.size() * alloc->row_bytes;
-      ++stats_.transfers.copies_issued;
-      TransferPlanner::account(
-          stats_.transfers, node_.topology(),
-          sim::Endpoint::dev(devices_[static_cast<std::size_t>(s)]),
-          sim::Endpoint::host(), false, bytes);
-      sim::Buffer* buffer = alloc->buffer;
-      const std::size_t src_off =
-          alloc->row_offset(static_cast<long>(post.core.begin));
-      std::byte* dst = d->host_row(post.core.begin);
-      const sim::StreamId stream = copy_streams2_[static_cast<std::size_t>(s)];
-      const double issue_s = node_.host_now_s();
-      invokers_[static_cast<std::size_t>(s)]->submit(
-          [this, stream, waits, dst, buffer, src_off, bytes, ev, issue_s] {
-            sim::Node::ScopedIssueFloor floor(node_, issue_s);
-            for (sim::EventId w : waits) {
-              node_.wait_event_generation(stream, w, 1);
-            }
-            node_.memcpy_d2h(stream, dst, buffer, src_off, bytes);
-            node_.record_event(ev, stream);
-          });
+      mirror_to_host(d, s, *alloc, post.core, std::move(waits));
     }
   }
+}
+
+void Scheduler::mirror_to_host(const Datum* datum, int slot,
+                               const MemoryAnalyzer::Alloc& alloc,
+                               RowInterval rows,
+                               std::vector<sim::EventId> waits) {
+  const int loc = SegmentLocationMonitor::loc(slot);
+  const sim::EventId ev = node_.create_event();
+  access_[{datum->key(), loc}].add_reader(
+      RowInterval{
+          static_cast<std::size_t>(static_cast<long>(rows.begin) -
+                                   alloc.origin),
+          static_cast<std::size_t>(static_cast<long>(rows.end) -
+                                   alloc.origin)},
+      ev);
+  auto& host_access = access_[{datum->key(), SegmentLocationMonitor::kHost}];
+  host_access.collect(rows, waits);
+  host_access.write(rows, ev);
+  avail_[{datum->key(), SegmentLocationMonitor::kHost}].update(rows, ev);
+  monitor_.mark_copied(datum, SegmentLocationMonitor::kHost, rows);
+  if (sanitizer_ != nullptr) {
+    sanitizer_->on_copy(datum, loc, SegmentLocationMonitor::kHost, rows);
+  }
+  ++host_content_stamp_[datum->key()];
+  submit_to_host(slot, copy_streams2_[static_cast<std::size_t>(slot)],
+                 std::move(waits), datum->host_row(rows.begin), alloc.buffer,
+                 alloc.row_offset(static_cast<long>(rows.begin)),
+                 rows.size() * alloc.row_bytes, ev);
+}
+
+void Scheduler::submit_to_host(int slot, sim::StreamId stream,
+                               std::vector<sim::EventId> waits,
+                               std::byte* dst, sim::Buffer* src,
+                               std::size_t src_off, std::size_t bytes,
+                               sim::EventId done) {
+  ++stats_.transfers.copies_issued;
+  TransferPlanner::account(
+      stats_.transfers, node_.topology(),
+      sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
+      sim::Endpoint::host(), false, bytes);
+  const double issue_s = node_.host_now_s();
+  invokers_[static_cast<std::size_t>(slot)]->submit(
+      [this, stream, waits = std::move(waits), dst, src, src_off, bytes, done,
+       issue_s] {
+        sim::Node::ScopedIssueFloor floor(node_, issue_s);
+        for (sim::EventId w : waits) {
+          node_.wait_event_generation(stream, w, 1);
+        }
+        node_.memcpy_d2h(stream, dst, src, src_off, bytes);
+        node_.record_event(done, stream);
+      });
 }
 
 void Scheduler::recover_device(int victim, KillStage stage) {
@@ -2747,11 +2562,9 @@ void Scheduler::recover_device(int victim, KillStage stage) {
   }
   // Drain-completes loss model: the kill takes effect at the next sync
   // point, so everything already enqueued — including this dispatch's jobs
-  // and the survivors' mirrors — finishes first.
-  for (auto& inv : invokers_) {
-    inv->flush();
-  }
-  node_.synchronize();
+  // and the survivors' mirrors — finishes first. Every cached shape was
+  // partitioned over the old live set.
+  invalidate_plans();
   const double t0_ms = node_.now_ms();
 
   dead_[static_cast<std::size_t>(victim)] = true;
@@ -2768,9 +2581,8 @@ void Scheduler::recover_device(int victim, KillStage stage) {
 
   // Invalidate everything that references the dead device: its holdings in
   // the location monitor and sanitizer shadow map, its ordering maps (reset
-  // in place — plans hold stable pointers into these maps), its allocations,
-  // the reduce-scatter staging pools, and the whole plan cache (every cached
-  // shape was partitioned over the old live set).
+  // in place — plans hold stable pointers into these maps), its allocations
+  // and the reduce-scatter staging pools.
   const int vloc = SegmentLocationMonitor::loc(victim);
   // Out-of-core residency pays off here: every segment the victim spilled
   // under the memory budget was written back to the host before its buffer
@@ -2782,9 +2594,6 @@ void Scheduler::recover_device(int victim, KillStage stage) {
   if (sanitizer_ != nullptr) {
     sanitizer_->on_device_lost(vloc);
   }
-  stats_.cache_evictions += cache_.size();
-  cache_.clear();
-  lru_.clear();
   for (auto& [key, map] : avail_) {
     if (key.second == vloc) {
       map = IntervalEventMap{};
@@ -2824,7 +2633,6 @@ void Scheduler::recover_device(int victim, KillStage stage) {
 
 void Scheduler::repair_structured(int victim, KillStage stage,
                                   std::vector<sim::Buffer*>& temps) {
-  (void)stage; // both mid-task stages lose the victim's outputs entirely
   const PlanShape& sh = *last_task_.shape;
   int victim_seg = -1;
   for (std::size_t i = 0; i < last_task_.live.size(); ++i) {
@@ -2858,12 +2666,16 @@ void Scheduler::repair_structured(int victim, KillStage stage,
   // Out-of-core interplay (DESIGN.md §5.16): when the host already covers
   // every output row of the victim's segment, the mirrors ARE the result and
   // nothing needs re-execution — spilled segments are restored from the host
-  // for free. The current mid-task kill sites leave the victim's freshly
-  // written rows host-stale (its mirror is suppressed), so this triggers
-  // only when something else made them host-resident — e.g. an eviction
-  // write-back; it also spares unmodified routines the throw below.
-  bool host_covers = true;
-  for (const PatternSpec& s : sh.specs) {
+  // for free. In-core mid-task kills leave the victim's freshly written rows
+  // host-stale (its mirror is suppressed), so this triggers only when
+  // something else made them host-resident: an eviction write-back, or the
+  // drains of a streamed victim killed after its windows ran. A streamed
+  // victim killed at CopiesIssued never drained, although its plan already
+  // recorded the host as the rows' resting place.
+  bool host_covers =
+      vdp.windows.empty() || stage != KillStage::CopiesIssued;
+  for (std::size_t i = 0; host_covers && i < sh.specs.size(); ++i) {
+    const PatternSpec& s = sh.specs[i];
     if (s.is_input) {
       continue;
     }
@@ -2881,12 +2693,6 @@ void Scheduler::repair_structured(int victim, KillStage stage,
     ++stats_.recovery.segments_restored_from_host;
     return;
   }
-  if (!last_task_.factory) {
-    throw std::runtime_error(
-        "device-loss recovery: an unmodified routine was mid-task — routines "
-        "cannot be re-executed per segment");
-  }
-
   // Which datums the task writes in place (input == output): their host
   // rows still hold pre-task values at the victim's core — exactly what the
   // lost kernel read, provided it only read its own core (radius 0).
@@ -2904,8 +2710,6 @@ void Scheduler::repair_structured(int victim, KillStage stage,
     return;
   }
   const std::size_t nchunks = std::min(live_.size(), nblocks);
-  const std::size_t span = sh.partition.rows_per_block_row();
-  const std::size_t work_rows = sh.partition.work_rows;
 
   for (std::size_t c = 0; c < nchunks; ++c) {
     const std::size_t b0 = vblocks.begin + c * nblocks / nchunks;
@@ -2915,82 +2719,21 @@ void Scheduler::repair_structured(int victim, KillStage stage,
 
     // Re-derive the chunk's requirements as a single-segment partition so
     // the segmenters emit exactly the rows (core + halos) the chunk needs.
-    TaskPartition cp = sh.partition;
-    cp.block_rows = {RowInterval{b0, b1}};
-    cp.work_row_ranges = {RowInterval{std::min(b0 * span, work_rows),
-                                      std::min(b1 * span, work_rows)}};
+    const TaskPartition cp = narrow_partition(sh.partition, {b0, b1});
 
-    std::vector<DeviceView> views;
+    LaunchBinding chunk;
     std::vector<SegmentReq> reqs;
-    std::vector<sim::Buffer*> chunk_bufs; ///< parallel to sh.specs
-    views.reserve(sh.specs.size());
-    reqs.reserve(sh.specs.size());
-    chunk_bufs.reserve(sh.specs.size());
     for (const PatternSpec& spec : sh.specs) {
-      SegmentReq req = compute_requirement(spec, cp, 0);
-      reqs.push_back(req);
-      if (!req.active) {
-        views.emplace_back();
-        chunk_bufs.push_back(nullptr);
-        continue;
-      }
-      const Datum* d = spec.datum;
-      const std::size_t row_bytes = d->row_bytes();
-      sim::Buffer* buf = node_.malloc_device(
-          devices_[static_cast<std::size_t>(s)], req.local_rows * row_bytes);
-      temps.push_back(buf);
-      chunk_bufs.push_back(buf);
-
-      DeviceView view;
-      view.base = buf->data();
-      view.pitch = row_bytes;
-      view.origin = req.origin;
-      view.rows = req.local_rows;
-      view.row_elems = d->row_elems();
-      view.datum_rows = d->rows();
-      view.core_begin = req.core.begin;
-      view.core_end = req.core.end;
-      views.push_back(view);
-
-      for (const CopyRegion& region : req.input_regions) {
-        if (region.zero_fill) {
-          if (req.whole) {
-            node_.memset_device(stream, buf, 0, 0, buf->size());
-          } else {
-            node_.memset_device(
-                stream, buf,
-                static_cast<std::size_t>(region.local_row) * row_bytes, 0,
-                row_bytes);
-          }
-          continue;
-        }
-        const bool in_place =
-            spec.is_input &&
-            std::find(inplace.begin(), inplace.end(), d->key()) !=
-                inplace.end();
-        if (in_place) {
-          // Host rows at the victim's core are PRE-task values — the right
-          // input only when the lost kernel read nothing but its own core.
-          if (!(region.global.begin >= req.core.begin &&
-                region.global.end <= req.core.end)) {
-            throw std::runtime_error(
-                "device-loss recovery: in-place task reads beyond its own "
-                "segment (radius > 0) — unrecoverable");
-          }
-        } else if (!monitor_
-                        .up_to_date(d, SegmentLocationMonitor::kHost)
-                        .covers(region.global)) {
-          throw std::runtime_error(
-              "device-loss recovery: host mirror of datum '" + d->name() +
-              "' does not cover the lost segment's inputs");
-        }
-        node_.memcpy_h2d(stream, buf,
-                         static_cast<std::size_t>(region.local_row) *
-                             row_bytes,
-                         d->host_row(region.global.begin),
-                         region.global.size() * row_bytes);
-        ++stats_.recovery.copies_rerouted;
-      }
+      reqs.push_back(compute_requirement(spec, cp, 0));
+      const SegmentReq& req = reqs.back();
+      const bool in_place =
+          spec.is_input && std::find(inplace.begin(), inplace.end(),
+                                     spec.datum->key()) != inplace.end();
+      bind_operand(chunk, spec.datum, req.core,
+                   req.active ? stage_from_host(spec, req, s, stream, temps,
+                                                in_place)
+                              : nullptr,
+                   req.origin, req.local_rows);
     }
 
     // The grid narrows to the chunk's block rows; device/device_count stay
@@ -2999,29 +2742,25 @@ void Scheduler::repair_structured(int victim, KillStage stage,
     maps::GridContext gc = vdp.grid;
     gc.block_row_offset = static_cast<unsigned>(b0);
     gc.block_rows = static_cast<unsigned>(b1 - b0);
-    auto body = last_task_.factory(s, gc, views);
     const double frac =
         static_cast<double>(b1 - b0) / static_cast<double>(nblocks);
     node_.launch(stream, scale_launch_stats(vdp.stats, frac),
-                 std::move(body));
+                 last_task_.factory(s, gc, chunk.views));
 
     // Results land on the host (the recovery target): core rows of every
     // output, d2h'd from the temp buffer.
     for (std::size_t i = 0; i < sh.specs.size(); ++i) {
-      const PatternSpec& spec = sh.specs[i];
+      const Datum* d = sh.specs[i].datum;
       const SegmentReq& req = reqs[i];
-      if (spec.is_input || !req.active || req.core.empty()) {
+      if (sh.specs[i].is_input || !req.active || req.core.empty()) {
         continue;
       }
-      const Datum* d = spec.datum;
-      const std::size_t row_bytes = d->row_bytes();
-      sim::Buffer* buf = chunk_bufs[i];
       node_.memcpy_d2h(
-          stream, d->host_row(req.core.begin), buf,
+          stream, d->host_row(req.core.begin), chunk.buffers[i],
           static_cast<std::size_t>(static_cast<long>(req.core.begin) -
                                    req.origin) *
-              row_bytes,
-          req.core.size() * row_bytes);
+              d->row_bytes(),
+          req.core.size() * d->row_bytes());
       monitor_.mark_written(d, SegmentLocationMonitor::kHost, req.core);
       if (sanitizer_ != nullptr) {
         sanitizer_->on_write(d, SegmentLocationMonitor::kHost, req.core);
@@ -3030,6 +2769,49 @@ void Scheduler::repair_structured(int victim, KillStage stage,
     }
     ++stats_.recovery.segments_reexecuted;
   }
+}
+
+sim::Buffer* Scheduler::stage_from_host(const PatternSpec& spec,
+                                        const SegmentReq& req, int slot,
+                                        sim::StreamId stream,
+                                        std::vector<sim::Buffer*>& temps,
+                                        bool pre_task_core) {
+  const Datum* d = spec.datum;
+  const std::size_t row_bytes = d->row_bytes();
+  sim::Buffer* buf = node_.malloc_device(
+      devices_[static_cast<std::size_t>(slot)], req.local_rows * row_bytes);
+  temps.push_back(buf);
+  for (const CopyRegion& region : req.input_regions) {
+    if (region.zero_fill) {
+      node_.memset_device(
+          stream, buf,
+          req.whole ? 0
+                    : static_cast<std::size_t>(region.local_row) * row_bytes,
+          0, req.whole ? buf->size() : row_bytes);
+      continue;
+    }
+    if (pre_task_core) {
+      // Host rows at the victim's core are PRE-task values — the right
+      // input only when the lost kernel read nothing but its own core.
+      if (!(region.global.begin >= req.core.begin &&
+            region.global.end <= req.core.end)) {
+        throw std::runtime_error(
+            "device-loss recovery: in-place task reads beyond its own "
+            "segment (radius > 0) — unrecoverable");
+      }
+    } else if (!monitor_.up_to_date(d, SegmentLocationMonitor::kHost)
+                    .covers(region.global)) {
+      throw std::runtime_error("device-loss recovery: host mirror of datum '" +
+                               d->name() +
+                               "' does not cover the lost segment's inputs");
+    }
+    node_.memcpy_h2d(stream, buf,
+                     static_cast<std::size_t>(region.local_row) * row_bytes,
+                     d->host_row(region.global.begin),
+                     region.global.size() * row_bytes);
+    ++stats_.recovery.copies_rerouted;
+  }
+  return buf;
 }
 
 void Scheduler::repair_aggregations(int victim,
@@ -3053,8 +2835,8 @@ void Scheduler::repair_aggregations(int victim,
     if (!log.factory) {
       throw std::runtime_error(
           "device-loss recovery: the pending partial of datum '" + d->name() +
-          "' was produced by an unmodified routine or a streamed "
-          "out-of-core pass — unrecoverable; Gather before killing");
+          "' was produced by an unmodified routine — unrecoverable; Gather "
+          "before killing");
     }
     for (const auto& [ikey, stamp] : log.input_stamps) {
       auto it = host_content_stamp_.find(ikey);
@@ -3102,73 +2884,29 @@ void Scheduler::repair_aggregations(int victim,
     const sim::StreamId stream = compute_streams_[static_cast<std::size_t>(s)];
 
     // Re-execute the victim's whole segment of the logged task into temps.
-    std::vector<DeviceView> views;
-    views.reserve(sh.specs.size());
+    LaunchBinding segment;
     sim::Buffer* out_temp = nullptr;
-    const PatternSpec* out_spec = nullptr;
     for (const PatternSpec& spec : sh.specs) {
-      SegmentReq req = compute_requirement(spec, sh.partition, victim_seg);
-      if (!req.active) {
-        views.emplace_back();
-        continue;
-      }
-      const std::size_t row_bytes = spec.datum->row_bytes();
-      sim::Buffer* buf = node_.malloc_device(
-          devices_[static_cast<std::size_t>(s)], req.local_rows * row_bytes);
-      temps.push_back(buf);
-      if (!spec.is_input && spec.datum == d) {
+      const SegmentReq req =
+          compute_requirement(spec, sh.partition, victim_seg);
+      sim::Buffer* buf =
+          req.active ? stage_from_host(spec, req, s, stream, temps, false)
+                     : nullptr;
+      if (buf != nullptr && !spec.is_input && spec.datum == d) {
         if (!req.whole) {
           throw std::runtime_error(
               "device-loss recovery: pending partial of datum '" + d->name() +
               "' is not a whole-datum duplicate — unrecoverable");
         }
         out_temp = buf;
-        out_spec = &spec;
       }
-      DeviceView view;
-      view.base = buf->data();
-      view.pitch = row_bytes;
-      view.origin = req.origin;
-      view.rows = req.local_rows;
-      view.row_elems = spec.datum->row_elems();
-      view.datum_rows = spec.datum->rows();
-      view.core_begin = req.core.begin;
-      view.core_end = req.core.end;
-      views.push_back(view);
-
-      for (const CopyRegion& region : req.input_regions) {
-        if (region.zero_fill) {
-          if (req.whole) {
-            node_.memset_device(stream, buf, 0, 0, buf->size());
-          } else {
-            node_.memset_device(
-                stream, buf,
-                static_cast<std::size_t>(region.local_row) * row_bytes, 0,
-                row_bytes);
-          }
-          continue;
-        }
-        if (!monitor_.up_to_date(spec.datum, SegmentLocationMonitor::kHost)
-                 .covers(region.global)) {
-          throw std::runtime_error(
-              "device-loss recovery: host mirror of datum '" +
-              spec.datum->name() +
-              "' does not cover the lost partial's inputs");
-        }
-        node_.memcpy_h2d(stream, buf,
-                         static_cast<std::size_t>(region.local_row) *
-                             row_bytes,
-                         spec.datum->host_row(region.global.begin),
-                         region.global.size() * row_bytes);
-        ++stats_.recovery.copies_rerouted;
-      }
+      bind_operand(segment, spec.datum, req.core, buf, req.origin,
+                   req.local_rows);
     }
-    if (out_temp == nullptr || out_spec == nullptr) {
+    if (out_temp == nullptr) {
       continue; // the logged task no longer writes this datum
     }
-
-    auto body = log.factory(s, vdp.grid, views);
-    node_.launch(stream, vdp.stats, std::move(body));
+    node_.launch(stream, vdp.stats, log.factory(s, vdp.grid, segment.views));
 
     // Fold the re-executed partial into the survivor's: int Sum is
     // commutative and associative, so the later Gather/ReduceScatter sums
@@ -3224,16 +2962,18 @@ void Scheduler::apply_copy_faults(TaskPlan& plan) {
   }
 }
 
-void Scheduler::sanitize_dispatch(const TaskPlan& plan) {
-  const PlanShape& sh = *plan.shape;
-  const char* label = "task";
-  for (const DevicePlan& dp : sh.devices) {
+const char* Scheduler::task_label(const PlanShape& shape) {
+  for (const DevicePlan& dp : shape.devices) {
     if (dp.active && !dp.stats.label.empty()) {
-      label = dp.stats.label.c_str();
-      break;
+      return dp.stats.label.c_str();
     }
   }
-  sanitizer_->begin_context(plan.handle, label);
+  return "task";
+}
+
+void Scheduler::sanitize_dispatch(const TaskPlan& plan) {
+  const PlanShape& sh = *plan.shape;
+  sanitizer_->begin_context(plan.handle, task_label(sh));
 
   // 1. Copies, in plan order (slot-major, pattern order within a slot) —
   // the same program order Algorithm 2 planned them in, so intra-task copy
@@ -3253,7 +2993,10 @@ void Scheduler::sanitize_dispatch(const TaskPlan& plan) {
       if (c.zero_fill || dw.copies[i].dropped) {
         continue;
       }
-      if (c.aligned) {
+      if (c.dst_host != nullptr) {
+        // A streamed window's drain: its rows rest on the host, fresh.
+        sanitizer_->on_write(c.datum, c.dst_location, c.rows);
+      } else if (c.aligned) {
         sanitizer_->on_copy(c.datum, c.src_location, c.dst_location, c.rows);
       } else {
         sanitizer_->on_halo_source(c.datum, c.src_location, c.rows);
@@ -3347,7 +3090,6 @@ void Scheduler::record_task_logs(const std::shared_ptr<TaskPlan>& plan,
   last_task_.valid = static_cast<bool>(factory);
   last_task_.shape = plan->shape;
   last_task_.factory = factory;
-  last_task_.handle = plan->handle;
   last_task_.live = live_;
   for (const PatternSpec& s : plan->shape->specs) {
     if (s.is_input || s.agg == AggregationKind::None) {
@@ -3370,8 +3112,11 @@ void Scheduler::record_task_logs(const std::shared_ptr<TaskPlan>& plan,
   }
 }
 
-TaskHandle Scheduler::dispatch_kernel(std::shared_ptr<TaskPlan> plan,
-                                      const BodyFactory& factory) {
+TaskHandle Scheduler::dispatch(std::shared_ptr<TaskPlan> plan,
+                               const BodyFactory& factory,
+                               UnmodifiedRoutine routine, void* context,
+                               std::vector<std::vector<std::byte>> consts) {
+  const PlanShape& sh = *plan->shape;
   apply_copy_faults(*plan);
   if (sanitizer_ != nullptr) {
     sanitize_dispatch(*plan);
@@ -3381,21 +3126,16 @@ TaskHandle Scheduler::dispatch_kernel(std::shared_ptr<TaskPlan> plan,
   // choose a victim. At most one device dies per dispatch; the kill takes
   // effect at the next sync point (drain-completes loss model), so the jobs
   // are still submitted — truncated after the copies for a CopiesIssued
-  // loss — and recovery runs once they drain.
+  // loss — and recovery runs once they drain. Routines cannot be
+  // re-executed per segment, so only MAPS kernels consult the injector.
   int victim = -1;
   KillStage stage = KillStage::CopiesIssued;
   if (fault_tolerance_) {
     record_task_logs(plan, factory);
-    if (injector_) {
-      const char* label = "task";
-      for (const DevicePlan& dp : plan->shape->devices) {
-        if (dp.active && !dp.stats.label.empty()) {
-          label = dp.stats.label.c_str();
-          break;
-        }
-      }
+    if (injector_ && factory) {
+      const char* label = task_label(sh);
       for (int s : live_) {
-        if (!plan->shape->devices[static_cast<std::size_t>(s)].active) {
+        if (!sh.devices[static_cast<std::size_t>(s)].active) {
           continue;
         }
         if (injector_(
@@ -3414,79 +3154,65 @@ TaskHandle Scheduler::dispatch_kernel(std::shared_ptr<TaskPlan> plan,
     }
   }
 
-  node_.advance_host_us(task_overhead_us_ +
-                        per_device_overhead_us_ * plan->shape->active_slots);
+  node_.advance_host_us(kTaskOverheadUs +
+                        kPerDeviceOverheadUs * sh.active_slots);
+  auto shared_consts = std::make_shared<std::vector<std::vector<std::byte>>>(
+      std::move(consts));
   const double issue_s = node_.host_now_s();
   for (int slot = 0; slot < slots(); ++slot) {
-    const DevicePlan& dp = plan->shape->devices[static_cast<std::size_t>(slot)];
+    const DevicePlan& dp = sh.devices[static_cast<std::size_t>(slot)];
     if (!dp.active) {
       continue;
     }
-    // One body per sub-kernel strip (the factory narrows the grid to the
-    // strip's block rows), or a single body for an unsplit device.
+    // One body per launch — window, sub-kernel strip (the factory narrows
+    // the grid to its block rows) or the unsplit device; none for routines.
     std::vector<std::function<void()>> bodies;
-    if (dp.sub.empty()) {
-      bodies.push_back(factory(slot, dp.grid, dp.views));
-    } else {
-      bodies.reserve(dp.sub.size());
-      for (const SubKernel& sub : dp.sub) {
-        bodies.push_back(factory(slot, sub.grid, dp.views));
+    if (factory) {
+      if (!dp.windows.empty()) {
+        for (const WindowPass& win : dp.windows) {
+          bodies.push_back(factory(slot, win.grid, win.views));
+        }
+      } else if (dp.sub.empty()) {
+        bodies.push_back(factory(slot, dp.grid, dp.views));
+      } else {
+        for (const SubKernel& sub : dp.sub) {
+          bodies.push_back(factory(slot, sub.grid, dp.views));
+        }
       }
     }
     const bool copies_only =
         slot == victim && stage == KillStage::CopiesIssued;
+    if (sh.streamed) {
+      // The node is drained around a streamed plan anyway, so issuing from
+      // the caller saves the invoker hand-off.
+      enqueue_device_commands(plan, slot, std::move(bodies), routine,
+                              context, shared_consts, copies_only);
+      continue;
+    }
     invokers_[static_cast<std::size_t>(slot)]->submit(
-        [this, plan, slot, issue_s, copies_only,
-         bodies = std::move(bodies)]() mutable {
+        [this, plan, slot, issue_s, copies_only, routine, context,
+         shared_consts, bodies = std::move(bodies)]() mutable {
           sim::Node::ScopedIssueFloor floor(node_, issue_s);
-          enqueue_device_commands(plan, slot, std::move(bodies), nullptr,
-                                  nullptr, nullptr, copies_only);
+          enqueue_device_commands(plan, slot, std::move(bodies), routine,
+                                  context, shared_consts, copies_only);
         });
+  }
+  if (sh.streamed) {
+    node_.synchronize();
+    for (sim::Buffer* buf : sh.window_temps) {
+      node_.free_device(buf);
+    }
   }
   if (fault_tolerance_) {
     // The victim's outputs die with it: for CopiesIssued they were never
     // computed, for KernelIssued they were computed but the loss precedes
     // the mirror — either way recovery re-derives them from the mirrors.
+    // Streamed devices mirror nothing: their drains already rest on the
+    // host.
     enqueue_host_mirrors(*plan, victim);
   }
   if (victim >= 0) {
     recover_device(victim, stage);
-  }
-  return plan->handle;
-}
-
-TaskHandle Scheduler::dispatch_routine(std::shared_ptr<TaskPlan> plan,
-                                       UnmodifiedRoutine routine,
-                                       void* context,
-                                       std::vector<std::vector<std::byte>>
-                                           consts) {
-  apply_copy_faults(*plan);
-  if (sanitizer_ != nullptr) {
-    sanitize_dispatch(*plan);
-  }
-  if (fault_tolerance_) {
-    // Routines have no re-executable body factory: the logs record the
-    // shape (for the unrecoverable-loss diagnostics) with a null factory.
-    record_task_logs(plan, BodyFactory{});
-  }
-  node_.advance_host_us(task_overhead_us_ +
-                        per_device_overhead_us_ * plan->shape->active_slots);
-  auto shared_consts = std::make_shared<std::vector<std::vector<std::byte>>>(
-      std::move(consts));
-  const double issue_s = node_.host_now_s();
-  for (int slot = 0; slot < slots(); ++slot) {
-    if (!plan->shape->devices[static_cast<std::size_t>(slot)].active) {
-      continue;
-    }
-    invokers_[static_cast<std::size_t>(slot)]->submit(
-        [this, plan, slot, issue_s, routine, context, shared_consts] {
-          sim::Node::ScopedIssueFloor floor(node_, issue_s);
-          enqueue_device_commands(plan, slot, {}, routine, context,
-                                  shared_consts);
-        });
-  }
-  if (fault_tolerance_) {
-    enqueue_host_mirrors(*plan, -1);
   }
   return plan->handle;
 }
@@ -3500,7 +3226,7 @@ void Scheduler::GatherAsync(Datum& datum) {
     monitor_.register_datum(&datum);
     return; // never touched by a task: host copy is authoritative
   }
-  node_.advance_host_us(task_overhead_us_);
+  node_.advance_host_us(kTaskOverheadUs);
   if (sanitizer_ != nullptr) {
     sanitizer_->begin_context(0, "Gather");
   }
@@ -3538,34 +3264,18 @@ void Scheduler::GatherAsync(Datum& datum) {
       auto host_bytes =
           std::make_shared<std::vector<std::byte>>(alloc->buffer->size());
       staged->push_back(Staged{slot, host_bytes, alloc->rows});
-      // Gathers bypass the plan cache, so their traffic is attributed to the
-      // run totals directly.
-      ++stats_.transfers.copies_issued;
-      TransferPlanner::account(
-          stats_.transfers, node_.topology(),
-          sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
-          sim::Endpoint::host(), false, alloc->buffer->size());
       const sim::EventId ev = node_.create_event();
       ready_events.push_back(ev);
-      const sim::StreamId stream =
-          copy_streams_[static_cast<std::size_t>(slot)];
       std::vector<sim::EventId> producers;
       avail_[{datum.key(), SegmentLocationMonitor::loc(slot)}].collect(
           RowInterval{0, datum.rows()}, producers);
       access_[{datum.key(), SegmentLocationMonitor::loc(slot)}].add_reader(
           RowInterval{0, alloc->rows}, ev);
-      sim::Buffer* buffer = alloc->buffer;
-      const double issue_s = node_.host_now_s();
-      invokers_[static_cast<std::size_t>(slot)]->submit(
-          [this, stream, producers, buffer, host_bytes, ev, issue_s] {
-            sim::Node::ScopedIssueFloor floor(node_, issue_s);
-            for (sim::EventId w : producers) {
-              node_.wait_event_generation(stream, w, 1);
-            }
-            node_.memcpy_d2h(stream, host_bytes->data(), buffer, 0,
-                             buffer->size());
-            node_.record_event(ev, stream);
-          });
+      // `staged` keeps the bytes alive: the aggregation below holds it
+      // until after this copy lands.
+      submit_to_host(slot, copy_streams_[static_cast<std::size_t>(slot)],
+                     std::move(producers), host_bytes->data(), alloc->buffer,
+                     0, alloc->buffer->size(), ev);
     }
 
     const sim::EventId host_ready = node_.create_event();
@@ -3692,26 +3402,10 @@ void Scheduler::GatherAsync(Datum& datum) {
     auto& host_access = access_[{datum.key(), SegmentLocationMonitor::kHost}];
     host_access.collect(op.rows, producers);
     host_access.write(op.rows, ev);
-    sim::Buffer* buffer = alloc->buffer;
-    const std::size_t src_off =
-        alloc->row_offset(static_cast<long>(op.rows.begin));
-    std::byte* dst = datum.host_row(op.rows.begin);
-    const std::size_t bytes = op.rows.size() * alloc->row_bytes;
-    ++stats_.transfers.copies_issued;
-    TransferPlanner::account(
-        stats_.transfers, node_.topology(),
-        sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
-        sim::Endpoint::host(), false, bytes);
-    const double issue_s = node_.host_now_s();
-    invokers_[static_cast<std::size_t>(slot)]->submit(
-        [this, stream, producers, buffer, src_off, dst, bytes, ev, issue_s] {
-          sim::Node::ScopedIssueFloor floor(node_, issue_s);
-          for (sim::EventId w : producers) {
-            node_.wait_event_generation(stream, w, 1);
-          }
-          node_.memcpy_d2h(stream, dst, buffer, src_off, bytes);
-          node_.record_event(ev, stream);
-        });
+    submit_to_host(slot, stream, std::move(producers),
+                   datum.host_row(op.rows.begin), alloc->buffer,
+                   alloc->row_offset(static_cast<long>(op.rows.begin)),
+                   op.rows.size() * alloc->row_bytes, ev);
     monitor_.mark_copied(&datum, SegmentLocationMonitor::kHost, op.rows);
     if (sanitizer_ != nullptr) {
       sanitizer_->on_copy(&datum, op.src_location,
@@ -3766,7 +3460,7 @@ void Scheduler::ReduceScatter(Datum& datum, Work work) {
     throw std::runtime_error(
         "ReduceScatter: only Sum-aggregated outputs are supported");
   }
-  node_.advance_host_us(task_overhead_us_);
+  node_.advance_host_us(kTaskOverheadUs);
   if (sanitizer_ != nullptr) {
     sanitizer_->begin_context(0, "ReduceScatter");
     sanitizer_->on_aggregation_scattered(&datum);
@@ -4123,41 +3817,7 @@ void Scheduler::ReduceScatter(Datum& datum, Work work) {
         throw std::runtime_error("fault tolerance: datum '" + datum.name() +
                                  "' needs a bound host buffer to mirror to");
       }
-      const sim::EventId mirror_done = node_.create_event();
-      std::vector<sim::EventId> mirror_waits{sum_done};
-      access_[{datum.key(), t_loc}].add_reader(dst_local, mirror_done);
-      auto& host_access =
-          access_[{datum.key(), SegmentLocationMonitor::kHost}];
-      host_access.collect(rows, mirror_waits);
-      host_access.write(rows, mirror_done);
-      avail_[{datum.key(), SegmentLocationMonitor::kHost}].update(rows,
-                                                                  mirror_done);
-      monitor_.mark_copied(&datum, SegmentLocationMonitor::kHost, rows);
-      if (sanitizer_ != nullptr) {
-        sanitizer_->on_copy(&datum, t_loc, SegmentLocationMonitor::kHost,
-                            rows);
-      }
-      ++host_content_stamp_[datum.key()];
-      ++stats_.transfers.copies_issued;
-      TransferPlanner::account(
-          stats_.transfers, node_.topology(),
-          sim::Endpoint::dev(devices_[static_cast<std::size_t>(t)]),
-          sim::Endpoint::host(), false, seg_bytes);
-      std::byte* mirror_dst = datum.host_row(rows.begin);
-      const sim::StreamId mirror_stream =
-          copy_streams2_[static_cast<std::size_t>(t)];
-      const double mirror_issue_s = node_.host_now_s();
-      invokers_[static_cast<std::size_t>(t)]->submit(
-          [this, mirror_stream, mirror_waits, mirror_dst, dst_buffer, dst_off,
-           seg_bytes, mirror_done, mirror_issue_s] {
-            sim::Node::ScopedIssueFloor floor(node_, mirror_issue_s);
-            for (sim::EventId w : mirror_waits) {
-              node_.wait_event_generation(mirror_stream, w, 1);
-            }
-            node_.memcpy_d2h(mirror_stream, mirror_dst, dst_buffer, dst_off,
-                             seg_bytes);
-            node_.record_event(mirror_done, mirror_stream);
-          });
+      mirror_to_host(&datum, t, *dst_alloc, rows, {sum_done});
     }
   }
   monitor_.clear_pending_aggregation(&datum);

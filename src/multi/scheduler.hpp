@@ -93,7 +93,9 @@ class ExecBackend;
 /// host wall-clock (std::chrono), NOT simulated time: the cache changes how
 /// much work the host does per Invoke, never what the simulator computes.
 struct SchedulerStats {
-  std::uint64_t plans_built = 0;    ///< Full Algorithm-1 planning passes.
+  /// Full Algorithm-1 planning passes of in-core tasks (streamed tasks are
+  /// counted by spill.streamed_tasks).
+  std::uint64_t plans_built = 0;
   std::uint64_t cache_hits = 0;     ///< Invokes served by replay.
   std::uint64_t cache_misses = 0;   ///< Cacheable Invokes that had to build.
   std::uint64_t cache_invalidations = 0; ///< Known shape, no variant matched
@@ -224,16 +226,9 @@ public:
                                   pool->parallelism()));
       };
     };
-    // Out-of-core: a task whose working set cannot fit the device-memory
-    // budget bypasses plan building entirely and streams over row-windows.
-    if (streaming_required(specs, nullptr)) {
-      return dispatch_streamed(std::move(specs), nullptr, hints,
-                               kernel_label<Kernel>(), factory, nullptr,
-                               nullptr, {});
-    }
-    auto plan = plan_task(std::move(specs), nullptr, hints,
-                          kernel_label<Kernel>(), /*splittable=*/true);
-    return dispatch_kernel(plan, factory);
+    return dispatch(plan_task(std::move(specs), nullptr, hints,
+                              kernel_label<Kernel>(), /*splittable=*/true),
+                    factory, nullptr, nullptr, {});
   }
 
   /// Runs an unmodified GPU routine on all devices (§4.6). `args` may mix
@@ -246,17 +241,12 @@ public:
     std::optional<Work> w = work;
     std::vector<std::vector<std::byte>> consts;
     collect(specs, w, consts, args...);
-    if (streaming_required(specs, &*w)) {
-      return dispatch_streamed(std::move(specs), &*w, CostHints{}, "routine",
-                               BodyFactory{}, std::move(routine), context,
-                               std::move(consts));
-    }
     // Routines run as one opaque launch per device, so they are never split
     // into strips; their copies still benefit from row-range chunking.
-    auto plan = plan_task(std::move(specs), &*w, CostHints{}, "routine",
-                          /*splittable=*/false);
-    return dispatch_routine(plan, std::move(routine), context,
-                            std::move(consts));
+    return dispatch(plan_task(std::move(specs), &*w, CostHints{}, "routine",
+                              /*splittable=*/false),
+                    BodyFactory{}, std::move(routine), context,
+                    std::move(consts));
   }
 
   /// Gathers a datum's up-to-date contents back to its bound host buffer,
@@ -307,11 +297,6 @@ public:
   /// sequentially (bodies are null there).
   void set_exec_threads(unsigned n);
   unsigned exec_threads() const { return exec_threads_; }
-
-  /// Host-side software cost charged per task (scheduler bookkeeping). The
-  /// defaults reproduce the paper's sub-1% unmodified-routine overhead
-  /// (Table 4); see EXPERIMENTS.md.
-  void set_task_overhead_us(double task_us, double per_device_us);
 
   /// Ablation knob: route every inferred device-to-device exchange through
   /// host RAM (the behaviour of the paper's MPI/host-based baselines)
@@ -393,12 +378,11 @@ public:
 
   // --- Plan cache & stats ---------------------------------------------------
 
-  /// Steady-state plan caching (on by default). Disabling it makes every
-  /// Invoke replan from scratch; simulated results are identical either way.
-  void set_plan_cache_enabled(bool on) { plan_cache_enabled_ = on; }
-  bool plan_cache_enabled() const { return plan_cache_enabled_; }
-  /// LRU bound on distinct cached task shapes (0 disables caching).
+  /// Steady-state plan caching: LRU bound on distinct cached task shapes
+  /// (64 by default). 0 disables caching, so every Invoke replans from
+  /// scratch; simulated results are identical either way.
   void set_plan_cache_capacity(std::size_t n);
+  std::size_t plan_cache_capacity() const { return plan_cache_capacity_; }
   std::size_t plan_cache_size() const { return cache_.size(); }
 
   const SchedulerStats& stats() const {
@@ -510,9 +494,11 @@ private:
     sim::Buffer* src_buffer = nullptr; ///< null when source is the host
     std::size_t src_offset = 0;
     const std::byte* src_host = nullptr;
+    std::byte* dst_host = nullptr; ///< set for a streamed window's drain
     std::size_t bytes = 0;
     // Dependency-tracking maps this copy consults (null for zero fills
-    // except dst_access):
+    // except dst_access, and for every copy of a streamed device — the node
+    // is drained around those):
     IntervalEventMap* src_avail = nullptr;
     IntervalEventMap* dst_avail = nullptr;
     AccessIntervalMap* src_access = nullptr;
@@ -576,19 +562,40 @@ private:
     std::uint32_t wait_hint = 0; ///< build-time wait count, replay reserve()
   };
 
-  struct DevicePlan {
-    bool active = false;
+  /// What one launch binds: its grid, cost and per-pattern operands — the
+  /// kernel views and the buffers behind them (null = inactive), parallel to
+  /// PlanShape::specs. Routine parameters and segments derive from them.
+  struct LaunchBinding {
     maps::GridContext grid;
+    sim::LaunchStats stats;
     std::vector<DeviceView> views;
+    std::vector<sim::Buffer*> buffers;
+  };
+
+  /// One row-window pass of a streamed device (DESIGN.md §5.16): the device
+  /// grid narrowed to the window's block rows, bound to the window's
+  /// ping-pong temporaries and the persistent operands. Its host refills and
+  /// drains are the ranges [refill_begin, drain_begin) and
+  /// [drain_begin, drain_end) of DevicePlan::copies.
+  struct WindowPass : LaunchBinding {
+    std::uint32_t refill_begin = 0;
+    std::uint32_t drain_begin = 0;
+    std::uint32_t drain_end = 0;
+  };
+
+  /// A device's share of a task. The binding describes the whole segment;
+  /// an in-core device launches it once (or as interior/boundary strips), a
+  /// streamed device as W >= 1 row-window passes.
+  struct DevicePlan : LaunchBinding {
+    bool active = false;
     std::vector<PlannedCopy> copies;
     std::vector<PatternPost> post;
-    sim::LaunchStats stats;
     /// Interior/boundary sub-kernels (empty = single launch, the legacy
     /// path). Ascending block-row order, at most one interior strip.
     std::vector<SubKernel> sub;
-    // Routine plumbing:
-    std::vector<RoutineParam> params;
-    std::vector<Segment> segments;
+    /// Row-window passes (empty = in-core). Copies before the first refill
+    /// fill persistent operands; outputs rest on the host (`post` inactive).
+    std::vector<WindowPass> windows;
     // Build-time wiring sizes, used as reserve() hints on replay:
     std::uint32_t wait_pool_hint = 0;
     std::uint32_t kernel_wait_hint = 0;
@@ -608,6 +615,9 @@ private:
     std::vector<sim::EventId> kernel_waits;
     sim::EventId kernel_done = 0;
     std::vector<StripWiring> strips; ///< parallel to DevicePlan::sub
+    /// Streamed device: 3 x W consecutive events — per window, inputs
+    /// ready, kernel done and drain done.
+    sim::EventId window_events = 0;
   };
 
   /// The immutable product of one full Algorithm-1 planning pass. Shared
@@ -615,6 +625,9 @@ private:
   /// cache hit never copies specs, views or copy lists.
   struct PlanShape {
     std::vector<PatternSpec> specs;
+    /// Per-spec datum dimensions, captured at plan time so routine launches
+    /// on the invoker threads never read a Datum.
+    std::vector<std::vector<std::size_t>> dims;
     TaskPartition partition;
     int active_slots = 0;
     std::vector<DevicePlan> devices;
@@ -631,6 +644,12 @@ private:
     bool overlap = false;
     std::uint32_t interior_launches = 0;
     std::uint32_t boundary_launches = 0;
+    /// Out-of-core: the devices run row-window passes, dispatched
+    /// synchronously and never cached, under the `prefetch` setting;
+    /// the dispatch frees `window_temps` once the node drains.
+    bool streamed = false;
+    bool prefetch = false;
+    std::vector<sim::Buffer*> window_temps;
   };
 
   struct TaskPlan {
@@ -759,13 +778,20 @@ private:
   /// and before any segment -> slot use; no-op unless placement is enabled,
   /// the topology is a cluster, and the pattern set has halo inputs.
   void apply_placement(const std::vector<PatternSpec>& specs);
+  /// Segments a task spans: 1 for single-device work, else every live slot.
+  int slots_for(const std::vector<PatternSpec>& specs, const Work* work) const;
+  /// Plans one task from the plan cache or through build_plan; under a
+  /// memory budget it first decides whether the task must stream.
   std::shared_ptr<TaskPlan> plan_task(std::vector<PatternSpec> specs,
                                       const Work* work, const CostHints& hints,
                                       const char* label, bool splittable);
+  /// One full Algorithm-1 planning pass; `streamed` plans every active
+  /// device as W >= 1 row-window passes (plan_windows).
   std::shared_ptr<TaskPlan> build_plan(std::vector<PatternSpec> specs,
                                        const Work* work,
                                        const CostHints& hints,
-                                       const char* label, bool splittable);
+                                       const char* label, bool splittable,
+                                       bool streamed);
   std::shared_ptr<TaskPlan> replay_plan(const CacheEntry& entry);
   /// Hands out a TaskPlan for replay, recycling retired ones: the custom
   /// deleter returns the object to `plan_recycle_` when the last reference
@@ -830,22 +856,42 @@ private:
   /// thread before the plan is handed to the invokers, for builds and
   /// replays alike.
   void sanitize_dispatch(const TaskPlan& plan);
-  TaskHandle dispatch_kernel(std::shared_ptr<TaskPlan> plan,
-                             const BodyFactory& factory);
-  TaskHandle dispatch_routine(std::shared_ptr<TaskPlan> plan,
-                              UnmodifiedRoutine routine, void* context,
-                              std::vector<std::vector<std::byte>> consts);
+  /// The task's cost label, for diagnostics.
+  static const char* task_label(const PlanShape& shape);
+  /// Hands a planned MAPS kernel (`factory`) or unmodified routine to the
+  /// devices: in-core plans via the invokers, streamed ones synchronously.
+  TaskHandle dispatch(std::shared_ptr<TaskPlan> plan,
+                      const BodyFactory& factory, UnmodifiedRoutine routine,
+                      void* context,
+                      std::vector<std::vector<std::byte>> consts);
+  /// `bodies`: one kernel body per launch (none for routines).
   /// `copies_only` truncates the device's job after its inferred input
-  /// copies: no strips, no kernel, no kernel_done record. Used to model a
-  /// CopiesIssued device loss (the victim received its inputs but never
-  /// computed); safe because recovery resets the victim's ordering maps
-  /// before any survivor could wait on the unrecorded events.
+  /// copies (a streamed device's persistent fills): no strips, windows or
+  /// kernel, no kernel_done record. Used to model a CopiesIssued device loss
+  /// (the victim received its inputs but never computed); safe because
+  /// recovery resets the victim's ordering maps before any survivor could
+  /// wait on the unrecorded events.
   void enqueue_device_commands(std::shared_ptr<TaskPlan> plan, int slot,
                                std::vector<std::function<void()>> bodies,
                                UnmodifiedRoutine routine, void* context,
                                std::shared_ptr<std::vector<std::vector<std::byte>>>
                                    consts,
                                bool copies_only = false);
+  /// Appends operand `core` of `datum`, held in `buffer` as virtual rows
+  /// [origin, origin + rows), to the binding; a null `buffer` appends an
+  /// inactive operand.
+  static void bind_operand(LaunchBinding& b, const Datum* datum,
+                           RowInterval core, sim::Buffer* buffer, long origin,
+                           std::size_t rows);
+  /// Issues one planned copy (or zero fill) on `stream`.
+  void issue_copy(sim::StreamId stream, const PlannedCopy& c);
+  /// Launches one binding on `stream`: the kernel body, or the routine over
+  /// parameters and segments built from the binding's operands.
+  void launch_binding(sim::StreamId stream, int slot, const LaunchBinding& b,
+                      const std::vector<std::vector<std::size_t>>& dims,
+                      std::function<void()> body,
+                      const UnmodifiedRoutine& routine, void* context,
+                      const std::vector<std::vector<std::byte>>* consts);
   // --- Fault tolerance (scheduler_recovery in scheduler.cpp) ---------------
   /// Records last_task_ and the per-datum aggregation logs for one dispatch
   /// (factory is null for unmodified routines — they cannot be re-executed
@@ -856,6 +902,17 @@ private:
   /// rows to the bound host buffers (fault-tolerance mode). `skip_slot`
   /// suppresses the mirror of a just-killed victim (-1 = none).
   void enqueue_host_mirrors(const TaskPlan& plan, int skip_slot);
+  /// Mirrors `rows` of (datum, slot) to the bound host buffer once `waits`
+  /// fire, making the host a holder of the rows.
+  void mirror_to_host(const Datum* datum, int slot,
+                      const MemoryAnalyzer::Alloc& alloc, RowInterval rows,
+                      std::vector<sim::EventId> waits);
+  /// Hands a d2h copy (after `waits`, recording `done`) to `slot`'s
+  /// invoker and accounts it in the run's transfer totals.
+  void submit_to_host(int slot, sim::StreamId stream,
+                      std::vector<sim::EventId> waits, std::byte* dst,
+                      sim::Buffer* src, std::size_t src_off, std::size_t bytes,
+                      sim::EventId done);
   /// Drain-completes device loss: flushes + synchronizes, marks the slot
   /// dead, invalidates its holdings/plans/ordering state, clears the plan
   /// cache, then re-executes the victim's unfinished work on survivors.
@@ -867,6 +924,13 @@ private:
   /// Re-computes the victim's pending aggregation partials (Reductive Sum)
   /// on a surviving writer and folds them into that survivor's partial.
   void repair_aggregations(int victim, std::vector<sim::Buffer*>& temps);
+  /// A repair temporary on `slot` holding `req`'s rows of `spec`, filled from
+  /// the host mirrors. `pre_task_core`: the lost task wrote the datum in
+  /// place, so its host rows are usable only inside the victim's core.
+  sim::Buffer* stage_from_host(const PatternSpec& spec, const SegmentReq& req,
+                               int slot, sim::StreamId stream,
+                               std::vector<sim::Buffer*>& temps,
+                               bool pre_task_core);
   int live_count() const { return static_cast<int>(live_.size()); }
   std::uint64_t* append_counter(const Datum* datum, int slot);
   TaskPartition derive_partition(const std::vector<PatternSpec>& specs,
@@ -876,13 +940,9 @@ private:
                        const MemoryAnalyzer::Alloc& alloc);
 
   // --- Out-of-core execution (DESIGN.md §5.16) ------------------------------
-  /// True when the device-memory budget forces streaming: some active slot's
-  /// working set for this task alone (planned bytes over its deduped datums)
-  /// exceeds the budget. Registers the task's datums and records its
-  /// requirements as a side effect (idempotent hull growth, same as
-  /// AnalyzeCall). Always false under the unlimited default budget.
-  bool streaming_required(const std::vector<PatternSpec>& specs,
-                          const Work* work);
+  /// Every residency change invalidates in-flight jobs and cached plans:
+  /// flush the invokers, drain the node and drop the plan cache.
+  void invalidate_plans();
   /// Budget enforcement for in-core builds (called from build_plan before
   /// allocations materialize): evicts least-recently-touched residents the
   /// task does not reference, per active slot, until the task's datums fit.
@@ -894,20 +954,27 @@ private:
   /// work and drops the plan cache (`quiesced`); later ones reuse the drain.
   void spill_allocation(const Datum* datum, int slot, bool& quiesced);
   /// Makes the bound host buffer authoritative for every row of `datum`
-  /// (synchronous d2h of whatever the monitor says the host is missing).
-  /// Streamed tasks flush their inputs through this before windowing.
+  /// (d2h of whatever the monitor says the host is missing).
+  /// Streamed plans flush their inputs through this before windowing.
   void flush_datum_to_host(Datum* datum);
-  /// Streamed multi-pass execution of one task over resident row-windows —
-  /// the out-of-core tentpole. Bypasses plan building and the plan cache;
-  /// windows are spans of the partition's block rows, so every pass is a
-  /// pure function of the partition and results are bit-identical to the
-  /// in-core dispatch. Synchronous (the node is drained on return); outputs
-  /// land in the bound host buffers. `factory` is null for routines.
-  TaskHandle dispatch_streamed(std::vector<PatternSpec> specs,
-                               const Work* work, const CostHints& hints,
-                               const char* label, const BodyFactory& factory,
-                               UnmodifiedRoutine routine, void* context,
-                               std::vector<std::vector<std::byte>> consts);
+  /// Spill-accounted d2h of `rows` of `datum` from `slot`'s allocation to
+  /// the bound host buffer; the host becomes a holder of the rows.
+  void write_back(const Datum* datum, int slot,
+                  const MemoryAnalyzer::Alloc& alloc, RowInterval rows);
+  /// Forgets the ordering state of (datum, location) after its buffer is
+  /// dropped (plans hold stable pointers into the maps, so reset in place).
+  void reset_ordering(const Datum* datum, int loc);
+  /// Throws OutOfCoreError, naming the cause, for task shapes the window
+  /// decomposition cannot stream.
+  void check_streamable(const PlanShape& shape,
+                        const std::vector<std::vector<SegmentReq>>& reqs,
+                        const char* label) const;
+  /// Plans one streamed device: persistent-operand fills, window size (two
+  /// windows fit beside `persistent_bytes` of residents) and every
+  /// window's refills, binding and drains.
+  void plan_windows(PlanShape& shape, DevicePlan& dp, DeviceWiring& dw,
+                    int seg, const std::vector<SegmentReq>& reqs,
+                    std::size_t persistent_bytes, const char* label);
 
   /// True when plan builds should route copies through the transfer planner
   /// (forced host staging prescribes every route, leaving nothing to plan).
@@ -965,7 +1032,6 @@ private:
   /// plan, captured location state), LRU-bounded by fingerprint.
   std::unordered_map<PlanFingerprint, CacheSlot, FingerprintHash> cache_;
   std::list<PlanFingerprint> lru_; ///< front = most recently used
-  bool plan_cache_enabled_ = true;
   std::size_t plan_cache_capacity_ = 64;
   /// mutable: stats() refreshes the exec-pool counters on read.
   mutable SchedulerStats stats_;
@@ -1000,7 +1066,6 @@ private:
     bool valid = false;
     std::shared_ptr<const PlanShape> shape;
     BodyFactory factory;
-    TaskHandle handle = 0;
     std::vector<int> live; ///< live_ at dispatch (seg → slot map)
   };
   TaskLog last_task_;
@@ -1041,8 +1106,6 @@ private:
   /// in ~16 pieces, large enough that per-copy latency stays negligible.
   std::size_t copy_chunk_bytes_ = 4u << 20;
   double overlap_min_benefit_ = 1.0;
-  double task_overhead_us_ = 60.0;
-  double per_device_overhead_us_ = 20.0;
   TaskHandle next_task_ = 1;
 
   /// Parallel execution backend (declared last: the destructor body also

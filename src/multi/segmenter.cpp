@@ -57,6 +57,17 @@ TaskPartition make_partition(std::size_t work_rows, std::size_t work_cols,
   return p;
 }
 
+TaskPartition narrow_partition(const TaskPartition& partition,
+                               RowInterval block_rows) {
+  TaskPartition p = partition;
+  const std::size_t span = p.rows_per_block_row();
+  p.block_rows = {block_rows};
+  p.work_row_ranges = {
+      RowInterval{std::min(block_rows.begin * span, p.work_rows),
+                  std::min(block_rows.end * span, p.work_rows)}};
+  return p;
+}
+
 namespace {
 
 /// Emits the copy regions filling halo rows [virtual_begin, virtual_end)

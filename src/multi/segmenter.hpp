@@ -41,6 +41,12 @@ TaskPartition make_partition(std::size_t work_rows, std::size_t work_cols,
                              maps::Dim3 block_dim, unsigned ilp_x,
                              unsigned ilp_y, int slots);
 
+/// The single-segment partition covering `block_rows` of `partition`: what
+/// the segmenters see when one device runs just those block rows (a
+/// streamed row-window, a probe for its size, or a recovery chunk).
+TaskPartition narrow_partition(const TaskPartition& partition,
+                               RowInterval block_rows);
+
 /// One region of a device-local buffer and how to fill it: either a copy of
 /// global datum rows or a zero fill (Boundary::Zero halos at global edges).
 struct CopyRegion {

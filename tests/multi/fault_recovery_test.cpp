@@ -489,6 +489,102 @@ TEST(FaultRecoveryTest, StreamedRunKilledAtGatherReexecutesLessThanInCore) {
   EXPECT_EQ(streamed.stats.recovery.segments_reexecuted, 0u);
 }
 
+// --- Streamed (W > 1) dispatches ---------------------------------------------
+
+namespace {
+/// Histogram of a tall 128x512 image on 4 devices under a 20 KiB device
+/// memory budget: every slot's 64 KiB image band exceeds the budget, so the
+/// task streams over row-windows and each slot accumulates its whole-datum
+/// Sum partial across its windows. `kill_slot` >= 0 kills that device
+/// between the task and the Gather.
+HistRun run_streamed_hist(int kill_slot, FaultInjector injector) {
+  const std::size_t W = 128, H = 512;
+  HistRun r;
+  r.image = random_values(W * H, 256, 7);
+  r.hist.assign(apps::histogram::kBins, 0);
+
+  sim::Node node = make_node(4);
+  Scheduler sched(node);
+  sched.set_fault_tolerance_enabled(true);
+  sched.set_sanitizer_enabled(true);
+  sched.set_device_memory_budget(20 * 1024);
+  if (injector) {
+    sched.set_fault_injector(std::move(injector));
+  }
+  Matrix<int> image(W, H, "image");
+  Vector<int> hist(apps::histogram::kBins, "hist");
+  image.Bind(r.image.data());
+  hist.Bind(r.hist.data());
+  using Kernel = apps::histogram::MapsKernel<8>;
+  sched.Invoke(Kernel{}, Kernel::In(image), Kernel::Out(hist));
+  if (kill_slot >= 0) {
+    sched.kill_device(kill_slot);
+  }
+  sched.Gather(hist);
+  r.stats = sched.stats();
+  r.live = sched.live_devices();
+  return r;
+}
+} // namespace
+
+TEST(FaultRecoveryTest, StreamedSumWriterLossRepairsBitIdentically) {
+  // A streamed task is planned like any other, so its aggregation log
+  // carries the kernel and the shape: losing a Sum writer re-executes the
+  // victim's whole segment on a survivor and folds the partial in.
+  const HistRun clean = run_streamed_hist(-1, nullptr);
+  ASSERT_EQ(clean.hist, apps::histogram::reference(clean.image));
+  ASSERT_EQ(clean.stats.spill.streamed_tasks, 1u);
+  ASSERT_GT(clean.stats.spill.pass_count, 4u); // W > 1 windows per slot
+
+  const HistRun faulty = run_streamed_hist(1, nullptr);
+  EXPECT_EQ(faulty.hist, clean.hist);
+  expect_one_loss(faulty.stats, faulty.live, 4, 1);
+  EXPECT_EQ(faulty.stats.recovery.segments_reexecuted, 1u);
+  EXPECT_EQ(faulty.stats.recovery.copies_rerouted, 1u);
+}
+
+TEST(FaultRecoveryTest, StreamedKillAtCopiesIssuedReexecutesTheSegment) {
+  // The victim received its persistent fills but ran none of its windows,
+  // so nothing it owns reached the host: its GoL segment is re-executed in
+  // one chunk per survivor, its histogram partial re-computed and folded.
+  const GolRun clean = run_tall_gol(0, nullptr);
+  const GolRun gol =
+      run_tall_gol(16 * 1024, kill_at_nth(1, KillStage::CopiesIssued, 0));
+  EXPECT_EQ(gol.a, clean.a);
+  EXPECT_EQ(gol.b, clean.b);
+  ASSERT_EQ(gol.stats.spill.streamed_tasks, 4u);
+  expect_one_loss(gol.stats, gol.live, 4, 1);
+  EXPECT_EQ(gol.stats.recovery.segments_reexecuted, 3u);
+  EXPECT_EQ(gol.stats.recovery.segments_restored_from_host, 0u);
+
+  const HistRun hist =
+      run_streamed_hist(-1, kill_at_nth(1, KillStage::CopiesIssued, 0));
+  EXPECT_EQ(hist.hist, apps::histogram::reference(hist.image));
+  expect_one_loss(hist.stats, hist.live, 4, 1);
+  EXPECT_EQ(hist.stats.recovery.segments_reexecuted, 1u);
+}
+
+TEST(FaultRecoveryTest, StreamedKillAtKernelIssuedRestoresTheSegmentFromHost) {
+  // The victim's windows ran and drained before the loss took effect, so
+  // the host already holds its GoL segment: nothing is re-executed. Its
+  // histogram partial never left the device and is re-computed.
+  const GolRun clean = run_tall_gol(0, nullptr);
+  const GolRun gol =
+      run_tall_gol(16 * 1024, kill_at_nth(1, KillStage::KernelIssued, 0));
+  EXPECT_EQ(gol.a, clean.a);
+  EXPECT_EQ(gol.b, clean.b);
+  ASSERT_EQ(gol.stats.spill.streamed_tasks, 4u);
+  expect_one_loss(gol.stats, gol.live, 4, 1);
+  EXPECT_EQ(gol.stats.recovery.segments_reexecuted, 0u);
+  EXPECT_EQ(gol.stats.recovery.segments_restored_from_host, 1u);
+
+  const HistRun hist =
+      run_streamed_hist(-1, kill_at_nth(1, KillStage::KernelIssued, 0));
+  EXPECT_EQ(hist.hist, apps::histogram::reference(hist.image));
+  expect_one_loss(hist.stats, hist.live, 4, 1);
+  EXPECT_EQ(hist.stats.recovery.segments_reexecuted, 1u);
+}
+
 // --- reset_stats regression --------------------------------------------------
 
 TEST(FaultRecoveryTest, ResetStatsClearsEverythingIncludingSanitizer) {

@@ -217,7 +217,9 @@ RunResult run_chain(const FuzzCase& fc, int devices,
   if (injector) {
     sched.set_fault_injector(std::move(injector));
   }
-  sched.set_plan_cache_enabled(fc.cache);
+  if (!fc.cache) {
+    sched.set_plan_cache_capacity(0);
+  }
   sched.set_sanitizer_enabled(true);
   if (budget > 0) {
     sched.set_device_memory_budget(budget);
@@ -397,7 +399,10 @@ TEST(DifferentialFuzzExtra, OverlapOnOffBitIdenticalWithEqualByteTotals) {
 TEST(OutOfCoreFuzz, RandomBudgetsBitIdenticalWithBalancedBytes) {
   // For each seed: the unlimited-memory run is the reference; the same chain
   // under a seed-derived device memory budget must produce bit-identical
-  // outputs with the sanitizer live, differing only in residency traffic.
+  // outputs with the sanitizer live, differing only in residency traffic —
+  // and so must a third run under the same budget with fault tolerance on
+  // that loses a seeded device at a seeded dispatch boundary (multi-device
+  // seeds only), whether the interrupted task ran in-core or streamed.
   // The budget floor (16 KiB) keeps every draw above the minimum streaming
   // window for the corpus grids (double-buffered block-row windows over rows
   // of at most ~284 bytes), so a budget is never rejected; the 32 KiB span
@@ -407,13 +412,20 @@ TEST(OutOfCoreFuzz, RandomBudgetsBitIdenticalWithBalancedBytes) {
   // refills exactly — a leak either way means residency traffic was
   // misclassified as first-touch distribution (or vice versa).
   const unsigned total = std::min(fuzz_seed_total(), 80u);
-  std::uint64_t streamed = 0, residency_bytes = 0;
+  std::uint64_t streamed = 0, residency_bytes = 0, streamed_under_loss = 0;
   for (unsigned seed = 0; seed < total; ++seed) {
     const FuzzCase fc = make_case(seed);
     std::mt19937 brng(fc.seed ^ 0x00c0ffeeu);
     const std::size_t budget = 16 * 1024 + brng() % (32 * 1024);
-    SchedulerStats ref_stats, ooc_stats;
-    RunResult ref, ooc;
+    const int victim =
+        static_cast<int>(brng() % static_cast<unsigned>(fc.devices));
+    constexpr KillStage kStages[] = {KillStage::CopiesIssued,
+                                     KillStage::KernelIssued,
+                                     KillStage::PreGather};
+    const KillStage stage = kStages[brng() % 3];
+    const int nth = static_cast<int>(brng() % 3);
+    SchedulerStats ref_stats, ooc_stats, ft_stats;
+    RunResult ref, ooc, ft;
     try {
       ref = run_chain(fc, fc.devices, nullptr,
                       OverlapCfg{true, false, &ref_stats});
@@ -421,6 +433,14 @@ TEST(OutOfCoreFuzz, RandomBudgetsBitIdenticalWithBalancedBytes) {
                       OverlapCfg{true, false, &ooc_stats}, false, nullptr,
                       /*exec_threads=*/-1, /*cluster_nodes=*/0,
                       /*planner=*/-1, /*placement=*/-1, budget);
+      if (fc.devices > 1) {
+        ft = run_chain(fc, fc.devices, nullptr,
+                       OverlapCfg{true, false, &ft_stats},
+                       /*fault_tolerance=*/true,
+                       kill_at_nth(victim, stage, nth), /*exec_threads=*/-1,
+                       /*cluster_nodes=*/0, /*planner=*/-1, /*placement=*/-1,
+                       budget);
+      }
     } catch (const SanitizerError& e) {
       FAIL() << "sanitizer report under budget " << budget << "\n  "
              << fc.describe() << "\n  " << e.what();
@@ -429,6 +449,19 @@ TEST(OutOfCoreFuzz, RandomBudgetsBitIdenticalWithBalancedBytes) {
         << "budget " << budget << " changed results; " << fc.describe();
     ASSERT_EQ(ooc.b, ref.b)
         << "budget " << budget << " changed results; " << fc.describe();
+    if (fc.devices > 1) {
+      ASSERT_EQ(ft.a, ref.a)
+          << "device loss under budget " << budget << " changed results; "
+          << fc.describe() << " kill slot " << victim << " stage "
+          << static_cast<int>(stage) << " nth " << nth;
+      ASSERT_EQ(ft.b, ref.b)
+          << "device loss under budget " << budget << " changed results; "
+          << fc.describe() << " kill slot " << victim << " stage "
+          << static_cast<int>(stage) << " nth " << nth;
+      if (ft_stats.recovery.devices_lost > 0) {
+        streamed_under_loss += ft_stats.spill.streamed_tasks;
+      }
+    }
     EXPECT_EQ(ref_stats.spill.evictions, 0u) << fc.describe();
     EXPECT_EQ(ref_stats.spill.transfers.bytes_total(), 0u) << fc.describe();
     EXPECT_EQ(ooc_stats.spill.transfers.bytes_total(),
@@ -446,6 +479,7 @@ TEST(OutOfCoreFuzz, RandomBudgetsBitIdenticalWithBalancedBytes) {
   // out_of_core_test instead.)
   EXPECT_GT(streamed, 0u);
   EXPECT_GT(residency_bytes, 0u);
+  EXPECT_GT(streamed_under_loss, 0u);
 }
 
 // --- Fault fuzz: a dropped inferred copy must be reported --------------------

@@ -371,6 +371,34 @@ TEST(OutOfCoreEdge, BudgetSmallerThanOneSegmentThrowsNamedDiagnostic) {
   }
 }
 
+TEST(OutOfCoreEdge, UnstreamableShapesThrowNamedDiagnostics) {
+  // A 64x64 int datum is 16 KiB: under an 8 KiB budget every task below
+  // must stream, and each shape the windows cannot express names its cause.
+  const std::size_t W = 64, H = 64;
+  std::vector<int> a = random_values(W * H, 2, 5);
+  using Win = typename apps::gol::MapsTick<1, 1>::Win;
+  using Out = typename apps::gol::MapsTick<1, 1>::Out;
+  const auto diagnostic = [&](bool in_place) {
+    sim::Node node = make_node(1);
+    Scheduler sched(node);
+    sched.set_device_memory_budget(8 * 1024);
+    Matrix<int> A(W, H, "A"), B(W, H, "B");
+    A.Bind(a.data()); // B stays unbound
+    try {
+      sched.Invoke(apps::gol::MapsTick<1, 1>{}, Win(A), Out(in_place ? A : B));
+    } catch (const OutOfCoreError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no OutOfCoreError");
+  };
+  EXPECT_NE(diagnostic(true).find("in place with a window radius"),
+            std::string::npos)
+      << diagnostic(true);
+  EXPECT_NE(diagnostic(false).find("needs a bound host buffer"),
+            std::string::npos)
+      << diagnostic(false);
+}
+
 TEST(OutOfCoreEdge, OutOfCoreErrorIsARuntimeError) {
   static_assert(std::is_base_of_v<std::runtime_error, OutOfCoreError>);
 }

@@ -127,7 +127,7 @@ TEST_P(PlanCacheDevicesTest, SteadyStateLoopHitsAndMatchesReference) {
 
   sim::Node node = make_node(devices);
   Scheduler sched(node);
-  ASSERT_TRUE(sched.plan_cache_enabled());
+  ASSERT_GT(sched.plan_cache_capacity(), 0u);
 
   std::vector<int> reference = random_grid(W * H, 42);
   const std::vector<int> result = run_gol(sched, W, H, iterations, 42);
@@ -161,7 +161,7 @@ TEST(PlanCacheTest, SimulatedTimelineAndResultsIdenticalCacheOnVsOff) {
     sim::Node node_off = make_node(devices);
     Scheduler sched_on(node_on);
     Scheduler sched_off(node_off);
-    sched_off.set_plan_cache_enabled(false);
+    sched_off.set_plan_cache_capacity(0);
 
     const auto grid_on = run_gol(sched_on, W, H, iterations, 7);
     const auto grid_off = run_gol(sched_off, W, H, iterations, 7);
@@ -318,7 +318,7 @@ TEST(PlanCacheTest, ReductiveLoopWithGatherStaysCorrect) {
 TEST(PlanCacheTest, DisabledCacheBuildsEveryPlan) {
   sim::Node node = make_node(2);
   Scheduler sched(node);
-  sched.set_plan_cache_enabled(false);
+  sched.set_plan_cache_capacity(0);
   (void)run_gol(sched, 64, 64, 8, 1);
   EXPECT_EQ(sched.stats().cache_hits, 0u);
   EXPECT_EQ(sched.stats().plans_built, 8u);

@@ -104,7 +104,9 @@ struct ChainSetup {
     for (auto& v : a) {
       v = static_cast<int>(rng() % 1000);
     }
-    sched.set_plan_cache_enabled(cache);
+    if (!cache) {
+      sched.set_plan_cache_capacity(0);
+    }
     if (sanitize) {
       sched.set_sanitizer_enabled(true);
     }
