@@ -1,15 +1,16 @@
 #include "multi/scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "multi/read_spans.hpp"
 
@@ -107,7 +108,6 @@ Scheduler::Scheduler(sim::Node& node, std::vector<int> devices)
     copy_streams2_.push_back(node_.create_stream(devices_[s]));
     reduce_streams_.push_back(node_.create_stream(devices_[s]));
     boundary_streams_.push_back(node_.create_stream(devices_[s]));
-    invokers_.push_back(std::make_unique<InvokerThread>(static_cast<int>(s)));
   }
   live_.resize(devices_.size());
   std::iota(live_.begin(), live_.end(), 0);
@@ -116,28 +116,12 @@ Scheduler::Scheduler(sim::Node& node, std::vector<int> devices)
 }
 
 Scheduler::~Scheduler() {
-  // Drain invokers before the analyzer frees device buffers referenced by
-  // still-enqueued jobs.
-  for (auto& inv : invokers_) {
-    try {
-      inv->flush();
-    } catch (...) {
-      // Destructor: swallow job errors that were never collected.
-    }
-  }
   // Unhook and tear down the execution backend before anything a deferred
   // body could reference dies. No bodies are pending here: every drain exit
-  // joins the backend, and the invokers above are flushed.
+  // joins the backend.
   if (exec_backend_ != nullptr) {
     node_.set_functional_executor(nullptr);
     exec_backend_.reset();
-  }
-  // All plan references are gone now; free whatever the deleters stacked.
-  TaskPlan* head = plan_recycle_head_.exchange(nullptr);
-  while (head != nullptr) {
-    TaskPlan* next = head->recycle_next;
-    delete head;
-    head = next;
   }
 }
 
@@ -151,9 +135,6 @@ void Scheduler::set_exec_threads(unsigned n) {
   // be in flight, and synchronizing here would drain commands other
   // schedulers on the node may still be wiring up).
   if (tasks_scheduled() != 0 || exec_backend_ != nullptr) {
-    for (auto& inv : invokers_) {
-      inv->flush();
-    }
     node_.synchronize();
   }
   if (exec_backend_ != nullptr) {
@@ -1305,8 +1286,8 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
             continue;
           }
           if (!flushed) {
-            // In-flight jobs may still read the buffer being replaced, and
-            // cached plans bake its base pointer into their views.
+            // In-flight commands may still read the buffer being replaced,
+            // and cached plans bake its base pointer into their views.
             invalidate_plans();
             flushed = true;
           }
@@ -1468,8 +1449,8 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
     dp.kernel_wait_hint = static_cast<std::uint32_t>(dw.kernel_waits.size());
   }
 
-  // Post-kernel location state (the actual commands are enqueued by the
-  // invoker threads; the monitor reflects the state after the task).
+  // Post-kernel location state (the actual commands are enqueued by
+  // dispatch; the monitor reflects the state after the task).
   for (int seg = 0; seg < slots_eff; ++seg) {
     const int slot = live_[static_cast<std::size_t>(seg)];
     if (shape.devices[static_cast<std::size_t>(slot)].active) {
@@ -1484,35 +1465,16 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
 }
 
 std::shared_ptr<Scheduler::TaskPlan> Scheduler::acquire_replay_plan() {
-  if (plan_recycle_local_.empty()) {
-    // Take the whole retired stack in one atomic exchange (single-consumer,
-    // so no ABA concern) and unlink it into the local list.
-    TaskPlan* head =
-        plan_recycle_head_.exchange(nullptr, std::memory_order_acquire);
-    while (head != nullptr) {
-      TaskPlan* next = head->recycle_next;
-      plan_recycle_local_.emplace_back(head);
-      head = next;
-    }
-  }
   TaskPlan* raw = nullptr;
-  if (!plan_recycle_local_.empty()) {
-    raw = plan_recycle_local_.back().release();
-    plan_recycle_local_.pop_back();
+  if (!plan_free_.empty()) {
+    raw = plan_free_.back().release();
+    plan_free_.pop_back();
   } else {
     raw = new TaskPlan();
   }
-  // The deleter runs wherever the last reference dies — usually an invoker
-  // thread after it enqueued the task's commands. ~Scheduler drains the
-  // invokers before the recycle members are destroyed, so `this` outlives
-  // every deleter invocation.
-  return std::shared_ptr<TaskPlan>(raw, [this](TaskPlan* p) {
-    p->recycle_next = plan_recycle_head_.load(std::memory_order_relaxed);
-    while (!plan_recycle_head_.compare_exchange_weak(
-        p->recycle_next, p, std::memory_order_release,
-        std::memory_order_relaxed)) {
-    }
-  });
+  // Every reference dies on the caller's thread before the Scheduler does.
+  return std::shared_ptr<TaskPlan>(
+      raw, [this](TaskPlan* p) { plan_free_.emplace_back(p); });
 }
 
 std::shared_ptr<Scheduler::TaskPlan>
@@ -1639,7 +1601,7 @@ void Scheduler::launch_binding(
     sim::StreamId stream, int slot, const LaunchBinding& b,
     const std::vector<std::vector<std::size_t>>& dims,
     std::function<void()> body, const UnmodifiedRoutine& routine,
-    void* context, const std::vector<std::vector<std::byte>>* consts) {
+    void* context, const std::vector<std::vector<std::byte>>& consts) {
   if (!routine) {
     node_.launch(stream, b.stats, std::move(body));
     return;
@@ -1669,21 +1631,19 @@ void Scheduler::launch_binding(
     seg.m_dimensions = dims[i];
     seg.m_dimensions[0] = view.core_end - view.core_begin;
   }
-  args.constants = *consts;
+  args.constants = consts;
   if (!routine(args)) {
     throw std::runtime_error("unmodified routine reported failure");
   }
 }
 
 void Scheduler::enqueue_device_commands(
-    std::shared_ptr<TaskPlan> plan, int slot,
-    std::vector<std::function<void()>> bodies, UnmodifiedRoutine routine,
-    void* context,
-    std::shared_ptr<std::vector<std::vector<std::byte>>> consts,
-    bool copies_only) {
-  const PlanShape& sh = *plan->shape;
+    const TaskPlan& plan, int slot, std::vector<std::function<void()>> bodies,
+    const UnmodifiedRoutine& routine, void* context,
+    const std::vector<std::vector<std::byte>>& consts, bool copies_only) {
+  const PlanShape& sh = *plan.shape;
   const DevicePlan& dp = sh.devices[static_cast<std::size_t>(slot)];
-  const DeviceWiring& dw = plan->wiring[static_cast<std::size_t>(slot)];
+  const DeviceWiring& dw = plan.wiring[static_cast<std::size_t>(slot)];
   const sim::StreamId copy_stream = copy_streams_[static_cast<std::size_t>(slot)];
   const sim::StreamId copy_stream2 =
       copy_streams2_[static_cast<std::size_t>(slot)];
@@ -1740,7 +1700,7 @@ void Scheduler::enqueue_device_commands(
       node_.record_event(inputs_ready(p), copy_stream);
       node_.wait_event_generation(compute_stream, inputs_ready(p), 1);
       launch_binding(compute_stream, slot, win, sh.dims, body(p), routine,
-                     context, consts.get());
+                     context, consts);
       node_.record_event(kernel_done(p), compute_stream);
       node_.wait_event_generation(copy_stream2, kernel_done(p), 1);
       issue(win.drain_begin, win.drain_end, copy_stream2);
@@ -1806,7 +1766,7 @@ void Scheduler::enqueue_device_commands(
     node_.wait_event_generation(compute_stream, ev, 1);
   }
   launch_binding(compute_stream, slot, dp, sh.dims, body(0), routine, context,
-                 consts.get());
+                 consts);
   node_.record_event(dw.kernel_done, compute_stream);
 }
 
@@ -1845,17 +1805,14 @@ void Scheduler::set_device_memory_budget(std::size_t bytes) {
   }
   if (tasks_scheduled() != 0) {
     // Mid-chain budget change: cached plans bake in residency decisions made
-    // under the old budget, and in-flight jobs may reference buffers the new
-    // policy is about to evict.
+    // under the old budget, and in-flight commands may reference buffers the
+    // new policy is about to evict.
     invalidate_plans();
   }
   device_memory_budget_ = bytes;
 }
 
 void Scheduler::invalidate_plans() {
-  for (auto& inv : invokers_) {
-    inv->flush();
-  }
   node_.synchronize();
   stats_.cache_evictions += cache_.size();
   cache_.clear();
@@ -2533,6 +2490,27 @@ void Scheduler::mirror_to_host(const Datum* datum, int slot,
                  rows.size() * alloc.row_bytes, ev);
 }
 
+template <typename Enqueue>
+void Scheduler::issue(int slot, Enqueue&& enqueue) {
+  if (dead_[static_cast<std::size_t>(slot)]) {
+    throw std::logic_error("Scheduler: issue to lost device slot " +
+                           std::to_string(slot));
+  }
+  try {
+    enqueue();
+  } catch (...) {
+    if (!issue_error_) {
+      issue_error_ = std::current_exception();
+    }
+  }
+}
+
+void Scheduler::rethrow_issue_error() {
+  if (issue_error_) {
+    std::rethrow_exception(std::exchange(issue_error_, nullptr));
+  }
+}
+
 void Scheduler::submit_to_host(int slot, sim::StreamId stream,
                                std::vector<sim::EventId> waits,
                                std::byte* dst, sim::Buffer* src,
@@ -2543,17 +2521,13 @@ void Scheduler::submit_to_host(int slot, sim::StreamId stream,
       stats_.transfers, node_.topology(),
       sim::Endpoint::dev(devices_[static_cast<std::size_t>(slot)]),
       sim::Endpoint::host(), false, bytes);
-  const double issue_s = node_.host_now_s();
-  invokers_[static_cast<std::size_t>(slot)]->submit(
-      [this, stream, waits = std::move(waits), dst, src, src_off, bytes, done,
-       issue_s] {
-        sim::Node::ScopedIssueFloor floor(node_, issue_s);
-        for (sim::EventId w : waits) {
-          node_.wait_event_generation(stream, w, 1);
-        }
-        node_.memcpy_d2h(stream, dst, src, src_off, bytes);
-        node_.record_event(done, stream);
-      });
+  issue(slot, [&] {
+    for (sim::EventId w : waits) {
+      node_.wait_event_generation(stream, w, 1);
+    }
+    node_.memcpy_d2h(stream, dst, src, src_off, bytes);
+    node_.record_event(done, stream);
+  });
 }
 
 void Scheduler::recover_device(int victim, KillStage stage) {
@@ -2561,9 +2535,9 @@ void Scheduler::recover_device(int victim, KillStage stage) {
     return;
   }
   // Drain-completes loss model: the kill takes effect at the next sync
-  // point, so everything already enqueued — including this dispatch's jobs
-  // and the survivors' mirrors — finishes first. Every cached shape was
-  // partitioned over the old live set.
+  // point, so everything already enqueued — including this dispatch's
+  // commands and the survivors' mirrors — finishes first. Every cached shape
+  // was partitioned over the old live set.
   invalidate_plans();
   const double t0_ms = node_.now_ms();
 
@@ -2577,7 +2551,6 @@ void Scheduler::recover_device(int victim, KillStage stage) {
   if (live_.empty()) {
     throw std::runtime_error("device-loss recovery: all devices lost");
   }
-  invokers_[static_cast<std::size_t>(victim)]->abandon();
 
   // Invalidate everything that references the dead device: its holdings in
   // the location monitor and sanitizer shadow map, its ordering maps (reset
@@ -2615,9 +2588,9 @@ void Scheduler::recover_device(int victim, KillStage stage) {
   combine_staging_.clear();
   ++stats_.recovery.devices_lost;
 
-  // Repairs run synchronously on the main thread, directly on the node's
-  // streams: recovery ends with a synchronize, so no event wiring against
-  // later tasks is needed.
+  // Repairs run synchronously on the caller's thread, directly on the
+  // node's streams: recovery ends with a synchronize, so no event wiring
+  // against later tasks is needed.
   std::vector<sim::Buffer*> temps;
   if (stage != KillStage::PreGather && last_task_.valid) {
     repair_structured(victim, stage, temps);
@@ -3124,9 +3097,9 @@ TaskHandle Scheduler::dispatch(std::shared_ptr<TaskPlan> plan,
 
   // Fault tolerance: log the dispatch for recovery, then let the injector
   // choose a victim. At most one device dies per dispatch; the kill takes
-  // effect at the next sync point (drain-completes loss model), so the jobs
-  // are still submitted — truncated after the copies for a CopiesIssued
-  // loss — and recovery runs once they drain. Routines cannot be
+  // effect at the next sync point (drain-completes loss model), so the
+  // commands are still issued — truncated after the copies for a
+  // CopiesIssued loss — and recovery runs once they drain. Routines cannot be
   // re-executed per segment, so only MAPS kernels consult the injector.
   int victim = -1;
   KillStage stage = KillStage::CopiesIssued;
@@ -3156,9 +3129,6 @@ TaskHandle Scheduler::dispatch(std::shared_ptr<TaskPlan> plan,
 
   node_.advance_host_us(kTaskOverheadUs +
                         kPerDeviceOverheadUs * sh.active_slots);
-  auto shared_consts = std::make_shared<std::vector<std::vector<std::byte>>>(
-      std::move(consts));
-  const double issue_s = node_.host_now_s();
   for (int slot = 0; slot < slots(); ++slot) {
     const DevicePlan& dp = sh.devices[static_cast<std::size_t>(slot)];
     if (!dp.active) {
@@ -3182,22 +3152,15 @@ TaskHandle Scheduler::dispatch(std::shared_ptr<TaskPlan> plan,
     }
     const bool copies_only =
         slot == victim && stage == KillStage::CopiesIssued;
-    if (sh.streamed) {
-      // The node is drained around a streamed plan anyway, so issuing from
-      // the caller saves the invoker hand-off.
-      enqueue_device_commands(plan, slot, std::move(bodies), routine,
-                              context, shared_consts, copies_only);
-      continue;
-    }
-    invokers_[static_cast<std::size_t>(slot)]->submit(
-        [this, plan, slot, issue_s, copies_only, routine, context,
-         shared_consts, bodies = std::move(bodies)]() mutable {
-          sim::Node::ScopedIssueFloor floor(node_, issue_s);
-          enqueue_device_commands(plan, slot, std::move(bodies), routine,
-                                  context, shared_consts, copies_only);
-        });
+    issue(slot, [&] {
+      enqueue_device_commands(*plan, slot, std::move(bodies), routine,
+                              context, consts, copies_only);
+    });
   }
   if (sh.streamed) {
+    // A failed issue left some window unrecorded: report it, not the drain's
+    // deadlock.
+    rethrow_issue_error();
     node_.synchronize();
     for (sim::Buffer* buf : sh.window_temps) {
       node_.free_device(buf);
@@ -3300,11 +3263,7 @@ void Scheduler::GatherAsync(Datum& datum) {
     Datum* dptr = &datum;
     const std::size_t lead = static_cast<std::size_t>(live_.front());
     const sim::StreamId agg_stream = copy_streams_[lead];
-    const double agg_issue_s = node_.host_now_s();
-    invokers_[lead]->submit([this, agg_stream, ready_events, staged, kind, op,
-                          counts, gathered_out, dptr, host_ready, agg_cost_us,
-                          agg_issue_s] {
-      sim::Node::ScopedIssueFloor floor(node_, agg_issue_s);
+    issue(static_cast<int>(lead), [&] {
       for (sim::EventId ev : ready_events) {
         node_.wait_event_generation(agg_stream, ev, 1);
       }
@@ -3417,10 +3376,7 @@ void Scheduler::GatherAsync(Datum& datum) {
   const sim::EventId host_ready = node_.create_event();
   const std::size_t lead = static_cast<std::size_t>(live_.front());
   const sim::StreamId agg_stream = copy_streams_[lead];
-  const double issue_s = node_.host_now_s();
-  invokers_[lead]->submit([this, agg_stream, ready_events, host_ready,
-                           issue_s] {
-    sim::Node::ScopedIssueFloor floor(node_, issue_s);
+  issue(static_cast<int>(lead), [&] {
     for (sim::EventId ev : ready_events) {
       node_.wait_event_generation(agg_stream, ev, 1);
     }
@@ -3605,55 +3561,49 @@ void Scheduler::ReduceScatter(Datum& datum, Work work) {
           c_alloc->row_offset(static_cast<long>(rows.begin));
       const std::size_t c_elems = rows.size() * datum.row_elems();
       const std::size_t n_pulls = pulls.size();
-      const double c_issue_s = node_.host_now_s();
       const sim::StreamId c_copy = copy_streams_[static_cast<std::size_t>(c)];
       const sim::StreamId c_copy2 =
           copy_streams2_[static_cast<std::size_t>(c)];
       const sim::StreamId c_compute =
           reduce_streams_[static_cast<std::size_t>(c)];
-      sim::Buffer* scratch_buf = scratch;
-      invokers_[static_cast<std::size_t>(c)]->submit(
-          [this, pulls, scratch_buf, seg_bytes, c_copy, c_copy2, c_compute,
-           comb_waits, comb_done, c_buffer, c_off, c_elems, n_pulls, op,
-           c_issue_s] {
-            sim::Node::ScopedIssueFloor floor(node_, c_issue_s);
-            std::size_t off = 0;
-            int rr = 0;
-            for (const Pull& pull : pulls) {
-              const sim::StreamId cs = (rr++ % 2 == 0) ? c_copy : c_copy2;
-              for (sim::EventId w : pull.waits) {
-                node_.wait_event_generation(cs, w, 1);
-              }
-              node_.memcpy_p2p(cs, scratch_buf, off, pull.src, pull.src_off,
-                               seg_bytes);
-              node_.record_event(pull.done, cs);
-              off += seg_bytes;
-            }
-            for (const Pull& pull : pulls) {
-              node_.wait_event_generation(c_compute, pull.done, 1);
-            }
-            for (sim::EventId w : comb_waits) {
-              node_.wait_event_generation(c_compute, w, 1);
-            }
-            sim::LaunchStats st;
-            st.label = "reduce_scatter_combine";
-            st.blocks = std::max<std::uint64_t>(1, c_elems / 256);
-            st.threads_per_block = 256;
-            st.flops = c_elems * n_pulls;
-            st.global_bytes_read = seg_bytes * n_pulls + c_elems * 4;
-            st.global_bytes_written = c_elems * 4;
-            node_.launch(c_compute, st, [scratch_buf, seg_bytes, c_buffer,
-                                         c_off, c_elems, n_pulls, op] {
-              if (scratch_buf == nullptr || !scratch_buf->has_backing()) {
-                return;
-              }
-              for (std::size_t k = 0; k < n_pulls; ++k) {
-                op(c_buffer->data() + c_off,
-                   scratch_buf->data() + k * seg_bytes, c_elems);
-              }
-            });
-            node_.record_event(comb_done, c_compute);
-          });
+      issue(c, [&] {
+        std::size_t off = 0;
+        int rr = 0;
+        for (const Pull& pull : pulls) {
+          const sim::StreamId cs = (rr++ % 2 == 0) ? c_copy : c_copy2;
+          for (sim::EventId w : pull.waits) {
+            node_.wait_event_generation(cs, w, 1);
+          }
+          node_.memcpy_p2p(cs, scratch, off, pull.src, pull.src_off,
+                           seg_bytes);
+          node_.record_event(pull.done, cs);
+          off += seg_bytes;
+        }
+        for (const Pull& pull : pulls) {
+          node_.wait_event_generation(c_compute, pull.done, 1);
+        }
+        for (sim::EventId w : comb_waits) {
+          node_.wait_event_generation(c_compute, w, 1);
+        }
+        sim::LaunchStats st;
+        st.label = "reduce_scatter_combine";
+        st.blocks = std::max<std::uint64_t>(1, c_elems / 256);
+        st.threads_per_block = 256;
+        st.flops = c_elems * n_pulls;
+        st.global_bytes_read = seg_bytes * n_pulls + c_elems * 4;
+        st.global_bytes_written = c_elems * 4;
+        node_.launch(c_compute, st, [scratch, seg_bytes, c_buffer,
+                                     c_off, c_elems, n_pulls, op] {
+          if (scratch == nullptr || !scratch->has_backing()) {
+            return;
+          }
+          for (std::size_t k = 0; k < n_pulls; ++k) {
+            op(c_buffer->data() + c_off,
+               scratch->data() + k * seg_bytes, c_elems);
+          }
+        });
+        node_.record_event(comb_done, c_compute);
+      });
       avail_[{datum.key(), c_loc}].update(rows, comb_done);
       access_[{datum.key(), c_loc}].write(c_local, comb_done);
     }
@@ -3734,21 +3684,13 @@ void Scheduler::ReduceScatter(Datum& datum, Work work) {
         dst_alloc->row_offset(static_cast<long>(rows.begin));
     const std::size_t elems = rows.size() * datum.row_elems();
     const std::size_t n_pieces = pieces.size();
-    const double issue_s = node_.host_now_s();
     const sim::StreamId copy_stream =
         copy_streams_[static_cast<std::size_t>(t)];
     const sim::StreamId copy_stream2 =
         copy_streams2_[static_cast<std::size_t>(t)];
     const sim::StreamId compute_stream =
         reduce_streams_[static_cast<std::size_t>(t)];
-    invokers_[static_cast<std::size_t>(t)]->submit([this, pieces, staging,
-                                                    seg_bytes, copy_stream,
-                                                    copy_stream2,
-                                                    compute_stream, sum_waits,
-                                                    sum_done, dst_buffer,
-                                                    dst_off, elems, n_pieces,
-                                                    op, issue_s] {
-      sim::Node::ScopedIssueFloor floor(node_, issue_s);
+    issue(t, [&] {
       std::size_t off = 0;
       int rr = 0;
       for (const Piece& piece : pieces) {
@@ -3834,9 +3776,7 @@ void Scheduler::Wait(TaskHandle handle) {
 }
 
 void Scheduler::WaitAll() {
-  for (auto& inv : invokers_) {
-    inv->flush();
-  }
+  rethrow_issue_error();
   node_.synchronize();
 }
 

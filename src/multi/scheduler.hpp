@@ -5,9 +5,9 @@
 // constructs Tasks from typed function calls, determines the grid
 // segmentation strategy from the access patterns, uses the Segmenters /
 // Memory Analyzer / Segment Location Monitor to infer allocations and
-// inter-GPU transfers, and queues copy and execution commands to each device
-// concurrently through per-device Invoker Threads — managing streams and
-// events so memory stays consistent.
+// inter-GPU transfers, and queues copy and execution commands to each
+// device's streams from the calling thread — managing streams and events so
+// memory stays consistent.
 //
 // Steady-state plan caching: the paper's loops (GoL steps, training epochs,
 // NMF iterations) issue thousands of identically shaped tasks, and the
@@ -27,11 +27,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <list>
-#include <stdexcept>
-#include <atomic>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -43,7 +44,6 @@
 #include "multi/datum.hpp"
 #include "multi/fault_injector.hpp"
 #include "multi/hash_util.hpp"
-#include "multi/invoker.hpp"
 #include "multi/kernel_exec.hpp"
 #include "multi/location_monitor.hpp"
 #include "multi/memory_analyzer.hpp"
@@ -626,7 +626,7 @@ private:
   struct PlanShape {
     std::vector<PatternSpec> specs;
     /// Per-spec datum dimensions, captured at plan time so routine launches
-    /// on the invoker threads never read a Datum.
+    /// never read a Datum.
     std::vector<std::vector<std::size_t>> dims;
     TaskPartition partition;
     int active_slots = 0;
@@ -656,7 +656,6 @@ private:
     TaskHandle handle = 0;
     std::shared_ptr<const PlanShape> shape;
     std::vector<DeviceWiring> wiring; ///< parallel to shape->devices
-    TaskPlan* recycle_next = nullptr; ///< intrusive link, see plan recycling
   };
 
   // --- Plan cache -----------------------------------------------------------
@@ -794,10 +793,10 @@ private:
                                        bool streamed);
   std::shared_ptr<TaskPlan> replay_plan(const CacheEntry& entry);
   /// Hands out a TaskPlan for replay, recycling retired ones: the custom
-  /// deleter returns the object to `plan_recycle_` when the last reference
-  /// (typically an invoker queue's) drops, so steady-state replays reuse
-  /// wiring vectors at full capacity instead of allocating. Only replay
-  /// plans carry the deleter; build_plan's plans are freed normally.
+  /// deleter returns the object to `plan_free_` when dispatch drops the last
+  /// reference, so steady-state replays reuse wiring vectors at full
+  /// capacity instead of allocating. Only replay plans carry the deleter;
+  /// build_plan's plans are freed normally.
   std::shared_ptr<TaskPlan> acquire_replay_plan();
   static bool cacheable(const std::vector<PatternSpec>& specs);
   PlanFingerprint fingerprint(const std::vector<PatternSpec>& specs,
@@ -852,31 +851,30 @@ private:
   /// Offers every planned copy to the fault hook (sets CopyWiring::dropped).
   void apply_copy_faults(TaskPlan& plan);
   /// Advances the sanitizer's shadow version map by this dispatch's copies,
-  /// reads, writes and aggregations, in program order. Runs on the main
-  /// thread before the plan is handed to the invokers, for builds and
-  /// replays alike.
+  /// reads, writes and aggregations, in program order. Runs before the
+  /// plan's commands are issued, for builds and replays alike.
   void sanitize_dispatch(const TaskPlan& plan);
   /// The task's cost label, for diagnostics.
   static const char* task_label(const PlanShape& shape);
   /// Hands a planned MAPS kernel (`factory`) or unmodified routine to the
-  /// devices: in-core plans via the invokers, streamed ones synchronously.
+  /// devices; a streamed plan also drains the node before returning.
   TaskHandle dispatch(std::shared_ptr<TaskPlan> plan,
                       const BodyFactory& factory, UnmodifiedRoutine routine,
                       void* context,
                       std::vector<std::vector<std::byte>> consts);
   /// `bodies`: one kernel body per launch (none for routines).
-  /// `copies_only` truncates the device's job after its inferred input
+  /// `copies_only` truncates the device's commands after its inferred input
   /// copies (a streamed device's persistent fills): no strips, windows or
   /// kernel, no kernel_done record. Used to model a CopiesIssued device loss
   /// (the victim received its inputs but never computed); safe because
   /// recovery resets the victim's ordering maps before any survivor could
   /// wait on the unrecorded events.
-  void enqueue_device_commands(std::shared_ptr<TaskPlan> plan, int slot,
-                               std::vector<std::function<void()>> bodies,
-                               UnmodifiedRoutine routine, void* context,
-                               std::shared_ptr<std::vector<std::vector<std::byte>>>
-                                   consts,
-                               bool copies_only = false);
+  void enqueue_device_commands(
+      const TaskPlan& plan, int slot,
+      std::vector<std::function<void()>> bodies,
+      const UnmodifiedRoutine& routine, void* context,
+      const std::vector<std::vector<std::byte>>& consts,
+      bool copies_only = false);
   /// Appends operand `core` of `datum`, held in `buffer` as virtual rows
   /// [origin, origin + rows), to the binding; a null `buffer` appends an
   /// inactive operand.
@@ -891,7 +889,7 @@ private:
                       const std::vector<std::vector<std::size_t>>& dims,
                       std::function<void()> body,
                       const UnmodifiedRoutine& routine, void* context,
-                      const std::vector<std::vector<std::byte>>* consts);
+                      const std::vector<std::vector<std::byte>>& consts);
   // --- Fault tolerance (scheduler_recovery in scheduler.cpp) ---------------
   /// Records last_task_ and the per-datum aggregation logs for one dispatch
   /// (factory is null for unmodified routines — they cannot be re-executed
@@ -907,8 +905,18 @@ private:
   void mirror_to_host(const Datum* datum, int slot,
                       const MemoryAnalyzer::Alloc& alloc, RowInterval rows,
                       std::vector<sim::EventId> waits);
-  /// Hands a d2h copy (after `waits`, recording `done`) to `slot`'s
-  /// invoker and accounts it in the run's transfer totals.
+  /// The one way commands reach a device: runs `enqueue` (which enqueues
+  /// onto `slot`'s streams) on the caller's thread. Each stream belongs to
+  /// one slot, so call order is stream order, and every command's issue
+  /// floor is the node's host clock at the call. Like an asynchronous CUDA
+  /// error, the first exception `enqueue` raises is kept for the next
+  /// WaitAll and later issues still run. Issuing to a lost slot throws
+  /// std::logic_error at once.
+  template <typename Enqueue> void issue(int slot, Enqueue&& enqueue);
+  /// Rethrows, and clears, the first error captured by issue().
+  void rethrow_issue_error();
+  /// Issues a d2h copy (after `waits`, recording `done`) on `slot` and
+  /// accounts it in the run's transfer totals.
   void submit_to_host(int slot, sim::StreamId stream,
                       std::vector<sim::EventId> waits, std::byte* dst,
                       sim::Buffer* src, std::size_t src_off, std::size_t bytes,
@@ -940,8 +948,8 @@ private:
                        const MemoryAnalyzer::Alloc& alloc);
 
   // --- Out-of-core execution (DESIGN.md §5.16) ------------------------------
-  /// Every residency change invalidates in-flight jobs and cached plans:
-  /// flush the invokers, drain the node and drop the plan cache.
+  /// Every residency change invalidates in-flight commands and cached plans:
+  /// drain the node and drop the plan cache.
   void invalidate_plans();
   /// Budget enforcement for in-core builds (called from build_plan before
   /// allocations materialize): evicts least-recently-touched residents the
@@ -1001,7 +1009,6 @@ private:
   MemoryAnalyzer analyzer_;
   SegmentLocationMonitor monitor_;
   TransferPlanner planner_;
-  std::vector<std::unique_ptr<InvokerThread>> invokers_;
 
   /// Which event made each row range of a datum available at a location
   /// (0=host); GLOBAL rows, range-granular to keep boundary exchanges
@@ -1036,16 +1043,12 @@ private:
   /// mutable: stats() refreshes the exec-pool counters on read.
   mutable SchedulerStats stats_;
 
-  /// Plan recycling. Retired replay plans are pushed onto a Treiber stack
-  /// by their deleter (lock-free, runs on whichever invoker thread drops
-  /// the last reference); acquire_replay_plan drains the stack wholesale
-  /// with one exchange and serves from a main-thread local list. Reused
-  /// plans keep their wiring vectors' capacity, so steady-state replays
-  /// allocate nothing. The circulating set is bounded by the peak number of
-  /// plans in flight. Invokers are drained in the destructor before these
-  /// members die, so no deleter outlives them.
-  std::atomic<TaskPlan*> plan_recycle_head_{nullptr};
-  std::vector<std::unique_ptr<TaskPlan>> plan_recycle_local_;
+  /// Plan recycling: retired replay plans, returned by their deleter on the
+  /// caller's thread. Reused plans keep their wiring vectors' capacity, so
+  /// steady-state replays allocate nothing.
+  std::vector<std::unique_ptr<TaskPlan>> plan_free_;
+  /// First exception raised while issuing commands; WaitAll rethrows it.
+  std::exception_ptr issue_error_;
 
   std::unique_ptr<AccessSanitizer> sanitizer_; ///< null = disabled
   CopyFaultHook copy_fault_hook_;
@@ -1055,7 +1058,7 @@ private:
   FaultInjector injector_;
   /// Slots still alive, ascending. All partitioning/segmentation indexes
   /// SEGMENTS [0, live_count()) which map to physical slots through this
-  /// vector; per-device resources (streams, invokers, ordering maps, the
+  /// vector; per-device resources (streams, ordering maps, the
   /// location monitor) stay physically indexed.
   std::vector<int> live_;
   std::vector<bool> dead_;
@@ -1109,8 +1112,8 @@ private:
   TaskHandle next_task_ = 1;
 
   /// Parallel execution backend (declared last: the destructor body also
-  /// tears it down explicitly after draining the invokers and unhooking the
-  /// node, so no deferred body can outlive the pool).
+  /// tears it down explicitly after unhooking the node, so no deferred body
+  /// can outlive the pool).
   unsigned exec_threads_ = 0;
   std::unique_ptr<detail::ExecBackend> exec_backend_;
 };

@@ -13,31 +13,10 @@ namespace sim {
 
 namespace {
 constexpr double kHostFuncDefaultUs = 1.0;
-
-thread_local bool t_has_issue_floor = false;
-thread_local double t_issue_floor_s = 0.0;
 } // namespace
-
-Node::ScopedIssueFloor::ScopedIssueFloor(Node& node, double floor_s)
-    : previous_(t_issue_floor_s), had_previous_(t_has_issue_floor) {
-  (void)node;
-  t_has_issue_floor = true;
-  t_issue_floor_s = floor_s;
-}
-
-Node::ScopedIssueFloor::~ScopedIssueFloor() {
-  t_has_issue_floor = had_previous_;
-  t_issue_floor_s = previous_;
-}
 
 // One enqueued stream command. A plain struct (not a variant) keeps the event
 // loop simple; unused fields stay empty.
-namespace {
-double floor_or(double host_time_s) {
-  return t_has_issue_floor ? t_issue_floor_s : host_time_s;
-}
-} // namespace
-
 struct Node::Command {
   enum class Kind { Kernel, Copy, HostFunc, RecordEvent, WaitEvent } kind;
 
@@ -186,7 +165,7 @@ EventId Node::create_events(int n) {
 
 void Node::enqueue(StreamId stream, Command cmd) {
   std::lock_guard<std::mutex> lock(mutex_);
-  cmd.issue_floor_s = floor_or(host_time_s_);
+  cmd.issue_floor_s = host_time_s_;
   streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(cmd));
 }
 
@@ -381,7 +360,7 @@ void Node::record_event(EventId event, StreamId stream) {
   c.kind = Command::Kind::RecordEvent;
   c.event = event;
   c.event_generation = ++ev.enqueued_generation;
-  c.issue_floor_s = floor_or(host_time_s_);
+  c.issue_floor_s = host_time_s_;
   streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(c));
 }
 
@@ -395,7 +374,7 @@ void Node::wait_event(StreamId stream, EventId event) {
   c.kind = Command::Kind::WaitEvent;
   c.event = event;
   c.event_generation = ev.enqueued_generation;
-  c.issue_floor_s = floor_or(host_time_s_);
+  c.issue_floor_s = host_time_s_;
   streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(c));
 }
 
@@ -407,7 +386,7 @@ void Node::wait_event_generation(StreamId stream, EventId event,
   c.kind = Command::Kind::WaitEvent;
   c.event = event;
   c.event_generation = generation;
-  c.issue_floor_s = floor_or(host_time_s_);
+  c.issue_floor_s = host_time_s_;
   streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(c));
 }
 
@@ -763,11 +742,6 @@ void Node::synchronize() {
 void Node::synchronize_stream(StreamId stream) {
   (void)stream;
   synchronize();
-}
-
-double Node::host_now_s() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return host_time_s_;
 }
 
 double Node::now_ms() const {

@@ -13,12 +13,11 @@
 //  * peer-to-peer transfers over the node topology, with an explicit
 //    host-staged variant for the paper's baseline systems.
 //
-// Execution model: enqueue operations are cheap and thread-safe (the
-// scheduler's invoker threads call them concurrently). synchronize() runs a
-// deterministic list scheduler that processes commands in simulated-time
-// order, respecting stream order, event dependencies and engine
-// availability; in Functional mode each command's body also executes, so
-// results are real and verifiable. Simulated timestamps depend only on the
+// Execution model: enqueue operations are cheap and thread-safe.
+// synchronize() runs a deterministic list scheduler that processes commands
+// in simulated-time order, respecting stream order, event dependencies and
+// engine availability; in Functional mode each command's body also executes,
+// so results are real and verifiable. Simulated timestamps depend only on the
 // dependency graph, never on host wall-clock.
 #pragma once
 
@@ -147,10 +146,11 @@ public:
   /// CUDA semantics: waits for the most recent record enqueued before this
   /// call; a wait on a never-recorded event is a no-op.
   void wait_event(StreamId stream, EventId event);
-  /// Strict variant for concurrent enqueue (the scheduler's invoker threads):
-  /// waits for the `generation`-th record of `event` even if that record has
-  /// not been enqueued yet. The matching record must be enqueued before the
-  /// next synchronize(), otherwise the drain reports a deadlock.
+  /// Strict variant for out-of-order enqueue across streams (the scheduler
+  /// issues one device at a time, so a wait may precede another device's
+  /// record): waits for the `generation`-th record of `event` even if that
+  /// record has not been enqueued yet. The matching record must be enqueued
+  /// before the next synchronize(), otherwise the drain reports a deadlock.
   void wait_event_generation(StreamId stream, EventId event,
                              std::uint64_t generation);
 
@@ -168,27 +168,6 @@ public:
   /// bookkeeping, baseline library overhead). Subsequent commands cannot
   /// start earlier than the advanced time.
   void advance_host_us(double us);
-
-  /// While alive on a thread, commands enqueued from that thread use the
-  /// given simulated time as their issue floor instead of the node's current
-  /// host clock. The scheduler's invoker threads use this so a task's
-  /// commands are stamped with the host time at which the task was
-  /// *dispatched*, independent of when the worker thread actually enqueues
-  /// them (the main thread may already have advanced the clock for later
-  /// tasks).
-  class ScopedIssueFloor {
-  public:
-    ScopedIssueFloor(Node& node, double floor_s);
-    ~ScopedIssueFloor();
-    ScopedIssueFloor(const ScopedIssueFloor&) = delete;
-    ScopedIssueFloor& operator=(const ScopedIssueFloor&) = delete;
-
-  private:
-    double previous_;
-    bool had_previous_;
-  };
-  /// Current host clock in seconds (for capturing dispatch times).
-  double host_now_s() const;
 
   const SimStats& stats() const { return stats_; }
   void reset_stats();

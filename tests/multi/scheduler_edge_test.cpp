@@ -3,7 +3,10 @@
 // sweeps on awkward sizes, and NDArray/WindowND tasks.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <filesystem>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "multi/maps_multi.hpp"
@@ -90,6 +93,100 @@ TEST(SchedulerEdgeTest, FailingRoutineSurfacesAtWaitAll) {
                          Block2D<float>(static_cast<Datum&>(X)),
                          StructuredInjective<float, 1>(X));
   EXPECT_THROW(sched.WaitAll(), std::runtime_error);
+}
+
+TEST(SchedulerEdgeTest, CommandsKeepSubmissionOrderPerDevice) {
+  // Each task's routine enqueues a host function logging the task index on
+  // its device's stream: every device must run them in submission order.
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), 2));
+  Scheduler sched(node);
+  std::vector<float> x(64, 0.0f);
+  Vector<float> X(64);
+  X.Bind(x.data());
+  std::vector<std::vector<int>> order(2);
+  for (int i = 0; i < 100; ++i) {
+    auto log = [&order, i](RoutineArgs& a) {
+      auto& device_order = order[static_cast<std::size_t>(a.device_idx)];
+      a.node->host_func(a.stream, [&device_order, i] {
+        device_order.push_back(i);
+      });
+      return true;
+    };
+    sched.InvokeUnmodified(log, nullptr, Work{64},
+                           Block2D<float>(static_cast<Datum&>(X)),
+                           StructuredInjective<float, 1>(X));
+  }
+  sched.WaitAll();
+  for (const std::vector<int>& device_order : order) {
+    ASSERT_EQ(device_order.size(), 100u);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(device_order[static_cast<std::size_t>(i)], i);
+    }
+  }
+}
+
+TEST(SchedulerEdgeTest, FirstIssueErrorWinsAndIsConsumedAtWaitAll) {
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), 2));
+  Scheduler sched(node);
+  std::vector<float> a(64), b(64), c(64);
+  Vector<float> A(64), B(64), C(64);
+  A.Bind(a.data());
+  B.Bind(b.data());
+  C.Bind(c.data());
+  const auto invoke = [&](const UnmodifiedRoutine& routine, Vector<float>& v) {
+    sched.InvokeUnmodified(routine, nullptr, Work{64},
+                           Block2D<float>(static_cast<Datum&>(v)),
+                           StructuredInjective<float, 1>(v));
+  };
+  int later_issues = 0;
+  invoke([](RoutineArgs&) -> bool { throw std::runtime_error("first"); }, A);
+  invoke([](RoutineArgs&) -> bool { throw std::logic_error("second"); }, B);
+  invoke(
+      [&later_issues](RoutineArgs&) {
+        ++later_issues;
+        return true;
+      },
+      C);
+  // Issues after a failure still run, on every device.
+  EXPECT_EQ(later_issues, 2);
+  try {
+    sched.WaitAll();
+    FAIL() << "expected the first issue error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  // The error was consumed: the next drain is clean.
+  EXPECT_NO_THROW(sched.WaitAll());
+}
+
+TEST(SchedulerEdgeTest, TimingOnlySchedulerAddsNoHostThreads) {
+  // Commands are issued from the caller's thread: a scheduler that needs no
+  // execution pool (TimingOnly) must not start a single host thread.
+  const std::filesystem::path tasks = "/proc/self/task";
+  std::error_code ec;
+  if (!std::filesystem::is_directory(tasks, ec)) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const auto host_threads = [&] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator(tasks)) {
+      ++n;
+    }
+    return n;
+  };
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), 4),
+                 sim::ExecMode::TimingOnly);
+  const std::size_t before = host_threads();
+  Scheduler sched(node);
+  std::vector<float> x(1024), y(1024);
+  Vector<float> X(1024), Y(1024);
+  X.Bind(x.data());
+  Y.Bind(y.data());
+  sched.Invoke(Copy1DKernel{}, Window1D<float, 0, maps::NO_CHECKS>(X),
+               StructuredInjective<float, 1>(Y));
+  EXPECT_EQ(host_threads(), before);
+  sched.WaitAll();
 }
 
 TEST(SchedulerEdgeTest, DeviceOutOfMemoryPropagates) {

@@ -121,8 +121,8 @@ TEST(NodeTest, FutureGenerationWaitResolvesWhenRecordArrivesLater) {
   sim::Node node = make_node(2);
   const sim::EventId ev = node.create_event();
   std::vector<int> order;
-  // Wait enqueued before the matching record exists (the invoker-thread
-  // enqueue-race the strict API is for).
+  // Wait enqueued before the matching record exists (one device's commands
+  // issued ahead of the device that records, which the strict API is for).
   node.wait_event_generation(node.default_stream(1), ev, 1);
   node.host_func(node.default_stream(1), [&] { order.push_back(1); });
   sim::LaunchStats heavy;
