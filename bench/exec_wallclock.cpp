@@ -9,7 +9,8 @@
 // threads plus the sequential legacy backend, asserting the results stay
 // bit-identical (FNV-1a digest over the gathered outputs) and the simulated
 // clock identical while only wall-clock changes. Writes
-// BENCH_exec_wallclock.json (override with --out <path>).
+// BENCH_exec_wallclock.json (override with --out <path>) and prints each
+// workload's sequential sweep rate (output elements per second) to stderr.
 //
 // --smoke runs trimmed sizes and asserts bit-identity, sim-identity and —
 // only on hosts with >= 4 hardware threads — a >= 1.2x wall-clock speedup at
@@ -41,6 +42,7 @@ struct Run {
   double sim_ms = 0;
   std::uint64_t digest = 0; ///< FNV-1a over the gathered output bytes
   std::uint64_t chunks = 0; ///< pool jobs executed (chunks + deferred bodies)
+  std::uint64_t cells = 0;  ///< output elements computed, over all tasks
 };
 
 std::uint64_t fnv1a(const void* data, std::size_t bytes) {
@@ -87,6 +89,7 @@ Run run_gol(unsigned exec_threads, const Sizes& sz) {
   const std::vector<int>& out = sz.gol_iters % 2 == 0 ? a : b;
   r.digest = fnv1a(out.data(), out.size() * sizeof(int));
   r.chunks = sched.stats().exec.chunks_executed;
+  r.cells = W * H * static_cast<std::uint64_t>(sz.gol_iters);
   return r;
 }
 
@@ -116,6 +119,7 @@ Run run_histogram(unsigned exec_threads, const Sizes& sz) {
   r.sim_ms = node.now_ms();
   r.digest = fnv1a(hist.data(), hist.size() * sizeof(int));
   r.chunks = sched.stats().exec.chunks_executed;
+  r.cells = W * H * static_cast<std::uint64_t>(sz.hist_iters);
   return r;
 }
 
@@ -139,9 +143,11 @@ Run run_gemm_chain(unsigned exec_threads, const Sizes& sz) {
 
   const auto t0 = std::chrono::steady_clock::now();
   simblas::Gemm(sched, A, B, C);
+  std::uint64_t gemms = 1;
   for (int i = 1; i < sz.gemm_chain; i += 2) {
     simblas::Gemm(sched, C, B, A);
     simblas::Gemm(sched, A, B, C);
+    gemms += 2;
   }
   sched.WaitAll();
   sched.Gather(C);
@@ -151,6 +157,7 @@ Run run_gemm_chain(unsigned exec_threads, const Sizes& sz) {
   r.sim_ms = node.now_ms();
   r.digest = fnv1a(c.data(), c.size() * sizeof(float));
   r.chunks = sched.stats().exec.chunks_executed;
+  r.cells = n * n * gemms;
   return r;
 }
 
@@ -245,6 +252,12 @@ int main(int argc, char** argv) {
     char native_label[24];
     std::snprintf(native_label, sizeof native_label, "native %u", native);
     row(native_label, rows[w].native_run);
+    // The sequential backend runs every kernel body on this thread, so this
+    // rate reads the functional-sweep layer (plus the run's small fixed
+    // planning and copy cost) without a trace.
+    std::fprintf(stderr, "%s: sequential sweep %.1f Mcells/s\n",
+                 workloads[w].name,
+                 static_cast<double>(seq.cells) / (seq.wall_ms * 1e3));
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");

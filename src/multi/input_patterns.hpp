@@ -29,7 +29,11 @@ public:
     const long width = static_cast<long>(v.row_elems);
     switch (boundary) {
     case maps::Boundary::Wrap:
-      wx = (wx % width + width) % width;
+      // Divide only off the row; the remainder also covers radii >= width.
+      if (wx < 0 || wx >= width) {
+        wx %= width;
+        wx += wx < 0 ? width : 0;
+      }
       break;
     case maps::Boundary::Clamp:
       wx = wx < 0 ? 0 : (wx >= width ? width - 1 : wx);
@@ -97,39 +101,62 @@ public:
   }
 
   /// Iterator over the (2R+1)^2 neighborhood of one output element, row
-  /// major from (-R,-R); used by MAPS_FOREACH_ALIGNED (Fig 2b).
-  template <typename OutIter> class aligned_iterator {
+  /// major from (-R,-R); used by MAPS_FOREACH_ALIGNED (Fig 2b). The
+  /// neighborhood is resolved once, on construction — the functional
+  /// analogue of staging the shared-memory tile: the center row pointer,
+  /// one bounds check covering all 2R+1 rows, and whether all 2R+1 columns
+  /// lie inside the row. Interior reads are then plain pointer offsets;
+  /// only elements within R of a lateral edge go through the Boundary mode.
+  class aligned_iterator {
   public:
-    aligned_iterator(const Window2D* c, const OutIter& out, int i)
-        : c_(c), out_(&out), i_(i) {}
-    T operator*() const {
-      constexpr int kSide = 2 * Radius + 1;
-      return c_->at(*out_, i_ % kSide - Radius, i_ / kSide - Radius);
+    static constexpr int kSide = 2 * Radius + 1;
+
+    aligned_iterator(const Window2D* c, long wx, long wy)
+        : c_(c), wx_(wx), wy_(wy) {
+      const DeviceView& v = c->view();
+      const long ly = wy - v.origin; // halo rows make all 2R+1 in-range
+      assert(ly >= Radius && static_cast<std::size_t>(ly + Radius) < v.rows);
+      center_ = v.base + static_cast<std::size_t>(ly) * v.pitch;
+      pitch_ = static_cast<std::ptrdiff_t>(v.pitch);
+      interior_ =
+          wx >= Radius && wx + Radius < static_cast<long>(v.row_elems);
     }
-    int dx() const { return i_ % (2 * Radius + 1) - Radius; }
-    int dy() const { return i_ / (2 * Radius + 1) - Radius; }
+    T operator*() const {
+      if (interior_) {
+        return *reinterpret_cast<const T*>(
+            center_ + dy() * pitch_ +
+            static_cast<std::ptrdiff_t>(wx_ + dx()) *
+                static_cast<std::ptrdiff_t>(sizeof(T)));
+      }
+      return detail::WindowAccess<T>::load(c_->view(), B, wx_ + dx(),
+                                           wy_ + dy());
+    }
+    int dx() const { return i_ % kSide - Radius; }
+    int dy() const { return i_ / kSide - Radius; }
     /// True at the window's center element.
     bool is_center() const { return dx() == 0 && dy() == 0; }
     aligned_iterator& operator++() {
       ++i_;
       return *this;
     }
-    bool operator!=(const aligned_iterator& o) const { return i_ != o.i_; }
+    bool operator!=(IterEnd) const { return i_ != kSide * kSide; }
 
   private:
     const Window2D* c_;
-    const OutIter* out_;
-    int i_;
+    long wx_, wy_;
+    const std::byte* center_ = nullptr;
+    std::ptrdiff_t pitch_ = 0;
+    bool interior_ = false;
+    int i_ = 0;
   };
 
   template <typename OutIter>
-  aligned_iterator<OutIter> aligned_begin(const OutIter& out) const {
-    return aligned_iterator<OutIter>(this, out, 0);
+  aligned_iterator aligned_begin(const OutIter& out) const {
+    return aligned_iterator(this, static_cast<long>(out.work_x()),
+                            static_cast<long>(out.work_y()));
   }
-  template <typename OutIter>
-  aligned_iterator<OutIter> aligned_end(const OutIter& out) const {
-    constexpr int kSide = 2 * Radius + 1;
-    return aligned_iterator<OutIter>(this, out, kSide * kSide);
+  template <typename OutIter> IterEnd aligned_end(const OutIter&) const {
+    return IterEnd{};
   }
 
   /// Input iterator aligned with the output's current element — the window

@@ -8,6 +8,7 @@
 // (set_thread) while sweeping the virtual grid.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 
@@ -40,36 +41,36 @@ protected:
 };
 
 /// Enumerates the ILP elements assigned to the current thread in work space,
-/// skipping coordinates outside the task's work dimensions (edge blocks).
-/// The ILP extents come from the GridContext at run time: the planner
-/// normalizes the output container's template parameters onto the grid
-/// (e.g. folding ILP into the partition dimension for 1-D work).
+/// row major, skipping coordinates outside the task's work dimensions (edge
+/// blocks). The ILP extents come from the GridContext at run time: the
+/// planner normalizes the output container's template parameters onto the
+/// grid (e.g. folding ILP into the partition dimension for 1-D work). The
+/// in-range tile is clipped once on construction, so stepping is a counter
+/// increment rather than a divide per element.
 class IlpCursor {
 public:
   explicit IlpCursor(const maps::ThreadContext& tc)
-      : x0_(tc.work_x0()), y0_(tc.work_y0()), w_(tc.grid->work_width),
-        h_(tc.grid->work_height), ilp_x_(tc.grid->ilp_x),
-        count_(tc.grid->ilp_x * tc.grid->ilp_y), i_(0) {
-    skip_out_of_range();
+      : x0_(tc.work_x0()), x_(x0_), y_(tc.work_y0()),
+        x_end_(std::min(x0_ + tc.grid->ilp_x, tc.grid->work_width)),
+        y_end_(std::min(y_ + tc.grid->ilp_y, tc.grid->work_height)) {
+    if (x0_ >= x_end_) {
+      y_ = y_end_; // no in-range column: nothing to enumerate
+    }
   }
 
-  unsigned work_x() const { return x0_ + i_ % ilp_x_; }
-  unsigned work_y() const { return y0_ + i_ / ilp_x_; }
-  bool done() const { return i_ >= count_; }
+  unsigned work_x() const { return x_; }
+  unsigned work_y() const { return y_; }
+  bool done() const { return y_ >= y_end_; }
 
   void advance() {
-    ++i_;
-    skip_out_of_range();
+    if (++x_ == x_end_) {
+      x_ = x0_;
+      ++y_;
+    }
   }
 
 private:
-  void skip_out_of_range() {
-    while (i_ < count_ && (work_x() >= w_ || work_y() >= h_)) {
-      ++i_;
-    }
-  }
-  unsigned x0_ = 0, y0_ = 0, w_ = 0, h_ = 0;
-  unsigned ilp_x_ = 1, count_ = 1, i_ = 1;
+  unsigned x0_, x_, y_, x_end_, y_end_;
 };
 
 } // namespace detail

@@ -59,6 +59,36 @@ INSTANTIATE_TEST_SUITE_P(SchemesByDevices, GolSchemeTest,
                          ::testing::Combine(::testing::Values(0, 1, 2),
                                             ::testing::Values(1, 2, 4)));
 
+// A 37x29 world is not a multiple of the 4x2 ILP tile in either dimension,
+// so edge threads enumerate clipped tiles and every lateral edge cell takes
+// the Wrap path.
+class GolIlpOddWorldTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GolIlpOddWorldTest, MapsIlpMatchesReference) {
+  const int devices = GetParam();
+  const std::size_t W = 37, H = 29;
+  const int iterations = 3;
+
+  std::vector<int> host_a = random_cells(W * H, 17);
+  std::vector<int> host_b(W * H, 0);
+  std::vector<int> ref = host_a;
+
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), devices));
+  Scheduler sched(node);
+  Matrix<int> A(W, H, "A"), B(W, H, "B");
+  A.Bind(host_a.data());
+  B.Bind(host_b.data());
+
+  apps::gol::run(sched, A, B, iterations, apps::gol::Scheme::MapsIlp);
+  for (int i = 0; i < iterations; ++i) {
+    apps::gol::reference_tick(ref, W, H);
+  }
+  EXPECT_EQ((iterations % 2 == 0) ? host_a : host_b, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, GolIlpOddWorldTest,
+                         ::testing::Values(1, 2, 4));
+
 class HistSchemeTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

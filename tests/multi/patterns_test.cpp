@@ -190,6 +190,192 @@ INSTANTIATE_TEST_SUITE_P(DevicesByBoundary, Window1DTest,
                          ::testing::Combine(::testing::Values(1, 2, 4),
                                             ::testing::Values(0, 1, 2)));
 
+// --- Window(2D) per-element fast path -------------------------------------------
+
+/// Stand-in for an output iterator: a fixed work position.
+struct WorkPos {
+  unsigned x, y;
+  unsigned work_x() const { return x; }
+  unsigned work_y() const { return y; }
+};
+
+/// Every value the row-resolved neighborhood iterator, at() and align()
+/// yield must equal the per-read reference WindowAccess::load, on interior
+/// and edge columns alike, including radii at or beyond the row width
+/// (where Wrap goes around more than once).
+template <maps::Boundary B, int R> void check_window_reads() {
+  const std::size_t height = 4;
+  for (std::size_t width : {1, 2, 3, 5, 8, 33}) {
+    const std::size_t rows = height + 2 * R; // core rows plus both halos
+    std::vector<int> buf(rows * width);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<int>(i) + 1; // distinct from Zero's T{}
+    }
+    DeviceView v;
+    v.base = reinterpret_cast<std::byte*>(buf.data());
+    v.pitch = width * sizeof(int);
+    v.origin = -R;
+    v.rows = rows;
+    v.row_elems = width;
+    v.datum_rows = height;
+    Window2D<int, R, B> win;
+    win.bind(v);
+
+    for (unsigned y = 0; y < height; ++y) {
+      for (unsigned x = 0; x < width; ++x) {
+        const WorkPos out{x, y};
+        const auto ref = [&](int dx, int dy) {
+          return detail::WindowAccess<int>::load(v, B, long{x} + dx,
+                                                 long{y} + dy);
+        };
+        int visited = 0;
+        MAPS_FOREACH_ALIGNED(it, win, out) {
+          // Row major from (-R, -R).
+          ASSERT_EQ(it.dx(), visited % (2 * R + 1) - R);
+          ASSERT_EQ(it.dy(), visited / (2 * R + 1) - R);
+          ASSERT_EQ(it.is_center(), it.dx() == 0 && it.dy() == 0);
+          ASSERT_EQ(*it, ref(it.dx(), it.dy()))
+              << "width=" << width << " x=" << x << " y=" << y
+              << " dx=" << it.dx() << " dy=" << it.dy();
+          ++visited;
+        }
+        ASSERT_EQ(visited, (2 * R + 1) * (2 * R + 1));
+        for (int dy = -R; dy <= R; ++dy) {
+          for (int dx = -R; dx <= R; ++dx) {
+            ASSERT_EQ(win.at(out, dx, dy), ref(dx, dy));
+          }
+        }
+        ASSERT_EQ(*win.align(out), ref(0, 0));
+      }
+    }
+  }
+}
+
+template <maps::Boundary B> void check_window_reads_all_radii() {
+  check_window_reads<B, 0>();
+  check_window_reads<B, 1>();
+  check_window_reads<B, 2>();
+  check_window_reads<B, 3>();
+}
+
+TEST(WindowFastPathTest, WrapReadsMatchPerReadLoad) {
+  check_window_reads_all_radii<maps::WRAP>();
+}
+
+TEST(WindowFastPathTest, ClampReadsMatchPerReadLoad) {
+  check_window_reads_all_radii<maps::CLAMP>();
+}
+
+TEST(WindowFastPathTest, ZeroReadsMatchPerReadLoad) {
+  check_window_reads_all_radii<maps::ZERO>();
+}
+
+/// The ILP cursor enumerates exactly the in-range elements of the
+/// divide-based formula x = x0 + i % ilp_x, y = y0 + i / ilp_x, in the same
+/// order, including edge blocks of work sizes that are not multiples of the
+/// block × ILP footprint.
+TEST(WindowFastPathTest, IlpCursorMatchesDivideFormula) {
+  struct Shape {
+    unsigned ilp_x, ilp_y, width, height;
+  };
+  for (const Shape s : {Shape{1, 1, 37, 29}, Shape{4, 2, 37, 29},
+                        Shape{8, 1, 37, 29}, Shape{4, 2, 50, 3},
+                        Shape{8, 1, 5, 11}}) {
+    maps::GridContext gc;
+    gc.block_dim = maps::Dim3{8, 4, 1};
+    gc.ilp_x = s.ilp_x;
+    gc.ilp_y = s.ilp_y;
+    gc.work_width = s.width;
+    gc.work_height = s.height;
+    const unsigned span_x = gc.block_dim.x * s.ilp_x;
+    const unsigned span_y = gc.block_dim.y * s.ilp_y;
+    gc.grid_dim = maps::Dim3{(s.width + span_x - 1) / span_x,
+                             (s.height + span_y - 1) / span_y, 1};
+    gc.block_rows = gc.grid_dim.y;
+
+    std::vector<std::pair<unsigned, unsigned>> expected, visited;
+    maps::ThreadContext tc;
+    tc.grid = &gc;
+    for (unsigned by = 0; by < gc.grid_dim.y; ++by) {
+      for (unsigned bx = 0; bx < gc.grid_dim.x; ++bx) {
+        tc.block = maps::Dim3{bx, by, 0};
+        for (unsigned ty = 0; ty < gc.block_dim.y; ++ty) {
+          for (unsigned tx = 0; tx < gc.block_dim.x; ++tx) {
+            tc.thread = maps::Dim3{tx, ty, 0};
+            for (unsigned i = 0; i < s.ilp_x * s.ilp_y; ++i) {
+              const unsigned x = tc.work_x0() + i % s.ilp_x;
+              const unsigned y = tc.work_y0() + i / s.ilp_x;
+              if (x < s.width && y < s.height) {
+                expected.emplace_back(x, y);
+              }
+            }
+            for (detail::IlpCursor c(tc); !c.done(); c.advance()) {
+              visited.emplace_back(c.work_x(), c.work_y());
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(visited, expected) << "ilp " << s.ilp_x << "x" << s.ilp_y
+                                 << " on " << s.width << "x" << s.height;
+    EXPECT_EQ(visited.size(), std::size_t{s.width} * s.height);
+  }
+}
+
+// --- Window(2D) with a radius wider than the row, end to end --------------------
+
+struct WeightedWindowSum {
+  template <typename In, typename Out>
+  void operator()(const maps::ThreadContext&, In& in, Out& out) const {
+    MAPS_FOREACH(it, out) {
+      int acc = 0;
+      MAPS_FOREACH_ALIGNED(n, in, it) {
+        acc += *n * ((n.dx() + 3) * 7 + (n.dy() + 3)); // order-sensitive
+      }
+      *it = acc;
+    }
+  }
+};
+
+TEST(WindowFastPathTest, WrapRadiusTwoOnWidthThreeMatchesReference) {
+  const long W = 3, H = 40, R = 2;
+  std::vector<int> in(static_cast<std::size_t>(W * H)),
+      out(static_cast<std::size_t>(W * H), -1);
+  std::mt19937 rng(15);
+  for (auto& v : in) {
+    v = static_cast<int>(rng() % 100);
+  }
+
+  sim::Node node = make_node(2);
+  Scheduler sched(node);
+  Matrix<int> In(W, H, "in"), Out(W, H, "out");
+  In.Bind(in.data());
+  Out.Bind(out.data());
+  sched.Invoke(WeightedWindowSum{}, Window2D<int, 2, maps::WRAP>(In),
+               StructuredInjective<int, 2>(Out));
+  sched.Gather(Out);
+  for (double s : node.stats().device_compute_seconds) {
+    EXPECT_GT(s, 0.0); // both devices swept a share, across a halo seam
+  }
+
+  const auto wrap =[](long i, long n) { return ((i % n) + n) % n; };
+  for (long y = 0; y < H; ++y) {
+    for (long x = 0; x < W; ++x) {
+      int ref = 0;
+      for (long dy = -R; dy <= R; ++dy) {
+        for (long dx = -R; dx <= R; ++dx) {
+          const int weight = static_cast<int>((dx + 3) * 7 + (dy + 3));
+          ref += in[static_cast<std::size_t>(wrap(y + dy, H) * W +
+                                             wrap(x + dx, W))] *
+                 weight;
+        }
+      }
+      ASSERT_EQ(out[static_cast<std::size_t>(y * W + x)], ref)
+          << "x=" << x << " y=" << y;
+    }
+  }
+}
+
 // --- Permutation: block-local reversal (FFT-style distribution) ----------------
 
 struct BlockReverseKernel {
