@@ -54,6 +54,12 @@ public:
     std::size_t row_offset(long virtual_row) const {
       return static_cast<std::size_t>(virtual_row - origin) * row_bytes;
     }
+    /// Global datum rows `rows` in this buffer's local row coordinates.
+    RowInterval local(RowInterval rows) const {
+      return RowInterval{
+          static_cast<std::size_t>(static_cast<long>(rows.begin) - origin),
+          static_cast<std::size_t>(static_cast<long>(rows.end) - origin)};
+    }
   };
 
   /// Records one requirement (AnalyzeCall path; also called lazily from

@@ -344,7 +344,7 @@ Scheduler::fingerprint(const std::vector<PatternSpec>& specs, const Work* work,
   PlanFingerprint fp;
   auto& w = fp.words;
   w.reserve(specs.size() * 12 + 11);
-  w.push_back(0x4d415053'46503105ull); // "MAPS" fingerprint, version 5
+  w.push_back(0x4d415053'46503106ull); // "MAPS" fingerprint, version 6
   w.push_back(static_cast<std::uint64_t>(slots()));
   // Device losses change the segment → slot map, so the live set is part of
   // the shape identity (the cache is also cleared wholesale on recovery;
@@ -371,7 +371,6 @@ Scheduler::fingerprint(const std::vector<PatternSpec>& specs, const Work* work,
   // cost gate are all baked into the shape.
   w.push_back((overlap_enabled_ ? 2u : 0u) | (splittable ? 1u : 0u));
   w.push_back(static_cast<std::uint64_t>(copy_chunk_bytes_));
-  w.push_back(std::bit_cast<std::uint64_t>(overlap_min_benefit_));
   // The device-memory budget decides which residents a build evicts, so a
   // plan built under one budget must never replay under another.
   w.push_back(static_cast<std::uint64_t>(device_memory_budget_));
@@ -735,11 +734,7 @@ void Scheduler::plan_copies_for(PlanShape& shape, DeviceWiring& dw, int slot,
         c.src_buffer = src_alloc->buffer;
         c.src_offset = src_alloc->row_offset(
             static_cast<long>(op.rows.begin));
-        c.src_local = RowInterval{
-            static_cast<std::size_t>(static_cast<long>(op.rows.begin) -
-                                     src_alloc->origin),
-            static_cast<std::size_t>(static_cast<long>(op.rows.end) -
-                                     src_alloc->origin)};
+        c.src_local = src_alloc->local(op.rows);
       }
       // Out-of-core refill classification: a copy landing entirely on rows
       // this location previously spilled is residency-policy traffic, not the
@@ -783,48 +778,28 @@ void Scheduler::plan_copies_for(PlanShape& shape, DeviceWiring& dw, int slot,
 void Scheduler::commit_post_state(const DevicePlan& dp, const DeviceWiring& dw,
                                   int slot, bool update_monitor) {
   const int loc = SegmentLocationMonitor::loc(slot);
-  if (!dp.sub.empty()) {
-    // Split device: reads and writes register per strip, so a consumer (a
-    // neighbour's next halo pull, the next task's interior) waits only on
-    // the strip that actually produced or read its rows.
-    for (std::size_t i = 0; i < dp.post.size(); ++i) {
-      const PatternPost& post = dp.post[i];
-      if (!post.active) {
-        continue;
-      }
-      for (std::size_t k = 0; k < dp.sub.size(); ++k) {
-        const StripSpan& sp = dp.sub[k].spans[i];
-        const sim::EventId done = dw.strips[k].done;
-        if (post.is_input) {
-          if (!sp.read_local.empty()) {
-            post.access->add_reader(sp.read_local, done);
-          }
-        } else if (!sp.out_global.empty()) {
-          post.avail->update(sp.out_global, done);
-          post.access->write(sp.out_local, done);
-        }
-      }
-      if (!post.is_input && update_monitor && !post.private_copy) {
-        monitor_.mark_written(post.datum, loc, post.core);
-      }
-    }
-    return;
-  }
-  for (const PatternPost& post : dp.post) {
+  // Reads and writes register per strip, so a consumer (a neighbour's next
+  // halo pull, the next task's interior) waits only on the strip that
+  // actually produced or read its rows.
+  for (std::size_t i = 0; i < dp.post.size(); ++i) {
+    const PatternPost& post = dp.post[i];
     if (!post.active) {
       continue;
     }
-    if (post.is_input) {
-      // The kernel read the whole local buffer (core + halos).
-      post.access->add_reader(post.local_span, dw.kernel_done);
-    } else {
-      // Private (duplicated) partials span the whole datum; aligned outputs
-      // produce exactly their core rows.
-      post.avail->update(post.produced, dw.kernel_done);
-      post.access->write(post.core_local, dw.kernel_done);
-      if (update_monitor && !post.private_copy) {
-        monitor_.mark_written(post.datum, loc, post.core);
+    for (std::size_t k = 0; k < dp.sub.size(); ++k) {
+      const StripSpan& sp = dp.sub[k].spans[i];
+      const sim::EventId done = dw.strips[k].done;
+      if (post.is_input) {
+        if (!sp.read_local.empty()) {
+          post.access->add_reader(sp.read_local, done);
+        }
+      } else if (!sp.out_global.empty()) {
+        post.avail->update(sp.out_global, done);
+        post.access->write(sp.out_local, done);
       }
+    }
+    if (!post.is_input && update_monitor && !post.private_copy) {
+      monitor_.mark_written(post.datum, loc, post.core);
     }
   }
 }
@@ -1005,9 +980,6 @@ bool Scheduler::overlap_eligible(const std::vector<PatternSpec>& specs) {
 
 bool Scheduler::overlap_profitable(
     const std::vector<PatternSpec>& specs) const {
-  if (overlap_min_benefit_ <= 0.0) {
-    return true;
-  }
   // Estimate the halo chain a boundary strip would hide: link latency plus
   // the widest halo over the cheapest inter-device link (conservative — the
   // contended cross-bus path only makes the chain longer). Splitting adds up
@@ -1031,7 +1003,7 @@ bool Scheduler::overlap_profitable(
   }
   const double extra_launch_us =
       2.0 * node_.spec(devices_[0]).kernel_launch_us;
-  return chain_us > overlap_min_benefit_ * extra_launch_us;
+  return chain_us > extra_launch_us;
 }
 
 namespace {
@@ -1053,6 +1025,85 @@ sim::LaunchStats scale_launch_stats(const sim::LaunchStats& st, double frac) {
   out.instr_overhead = part(st.instr_overhead);
   return out;
 }
+
+/// One partial segment a SumFold pulls into its staging buffer.
+struct SumPull {
+  sim::Buffer* src = nullptr;
+  std::size_t src_off = 0;
+  std::vector<sim::EventId> waits; ///< producers of the pulled rows
+  sim::EventId done = 0;
+  /// Piece size for a network crossing (0 = one copy): the pieces pipeline
+  /// their D2H / NIC / H2D legs chunk by chunk.
+  std::size_t chunk_bytes = 0;
+};
+
+/// A device-side Sum (ReduceScatter, aggregation repair): dst += each of
+/// the first `staged` segments of `staging`, `pulls` filling them first.
+struct SumFold {
+  const char* label = "";
+  sim::StreamId stream = 0; ///< where the fold kernel runs
+  std::vector<SumPull> pulls;
+  std::size_t staged = 0;
+  sim::Buffer* staging = nullptr;
+  sim::Buffer* dst = nullptr;
+  std::size_t dst_off = 0;
+  std::size_t elems = 0; ///< elements per segment
+  std::size_t elem_size = 0;
+  std::vector<sim::EventId> waits; ///< extra waits of the fold kernel
+  sim::EventId done = -1;          ///< recorded after the fold (< 0: none)
+  std::function<void(void*, const void*, std::size_t)> op;
+};
+
+/// Enqueues `f`: the pulls alternate between the device's two copy streams,
+/// then the fold kernel runs after every pull and `f.waits`.
+void pull_and_sum(sim::Node& node, sim::StreamId copy0, sim::StreamId copy1,
+                  const SumFold& f) {
+  const std::size_t seg_bytes = f.elems * f.elem_size;
+  for (std::size_t k = 0; k < f.pulls.size(); ++k) {
+    const SumPull& pull = f.pulls[k];
+    const sim::StreamId cs = k % 2 == 0 ? copy0 : copy1;
+    for (sim::EventId w : pull.waits) {
+      node.wait_event_generation(cs, w, 1);
+    }
+    // Pieces of one segment share a stream, so they stay ordered while
+    // their legs overlap in the simulator's pipelined occupancy model.
+    const std::size_t piece =
+        pull.chunk_bytes > 0 ? pull.chunk_bytes : seg_bytes;
+    for (std::size_t b = 0; b < seg_bytes; b += piece) {
+      node.memcpy_p2p(cs, f.staging, k * seg_bytes + b, pull.src,
+                      pull.src_off + b, std::min(piece, seg_bytes - b));
+    }
+    node.record_event(pull.done, cs);
+  }
+  for (const SumPull& pull : f.pulls) {
+    node.wait_event_generation(f.stream, pull.done, 1);
+  }
+  for (sim::EventId w : f.waits) {
+    node.wait_event_generation(f.stream, w, 1);
+  }
+  sim::LaunchStats st;
+  st.label = f.label;
+  st.blocks = std::max<std::uint64_t>(1, f.elems / 256);
+  st.threads_per_block = 256;
+  st.flops = f.elems * f.staged;
+  st.global_bytes_read = seg_bytes * f.staged + seg_bytes;
+  st.global_bytes_written = seg_bytes;
+  node.launch(f.stream, st,
+              [staging = f.staging, dst = f.dst, dst_off = f.dst_off,
+               elems = f.elems, seg_bytes, staged = f.staged, op = f.op] {
+                if (staging == nullptr || !staging->has_backing() ||
+                    !dst->has_backing()) {
+                  return;
+                }
+                for (std::size_t k = 0; k < staged; ++k) {
+                  op(dst->data() + dst_off, staging->data() + k * seg_bytes,
+                     elems);
+                }
+              });
+  if (f.done >= 0) {
+    node.record_event(f.done, f.stream);
+  }
+}
 } // namespace
 
 void Scheduler::build_strips(
@@ -1060,6 +1111,36 @@ void Scheduler::build_strips(
     const std::vector<SegmentReq>& reqs,
     const std::vector<const MemoryAnalyzer::Alloc*>& allocs,
     const std::vector<StripRange>& ranges) {
+  if (ranges.size() < 2) {
+    // S = 1: the whole device grid at the device's cost. It reads every
+    // local buffer (core + halos), gates on every copy and zero fill, and
+    // waits on the availability of the rows it reads at their global
+    // position — whatever stream or engine produced them.
+    SubKernel sub;
+    sub.grid = dp.grid;
+    sub.stats = dp.stats;
+    sub.spans.resize(dp.post.size());
+    for (std::size_t i = 0; i < dp.post.size(); ++i) {
+      const PatternPost& post = dp.post[i];
+      StripSpan& sp = sub.spans[i];
+      if (!post.active) {
+        continue;
+      }
+      if (post.is_input) {
+        sp.read_local = post.local_span;
+        sp.read_global = post.reads;
+      } else {
+        // Private (duplicated) partials span the whole datum; aligned
+        // outputs produce exactly their core rows.
+        sp.out_local = post.core_local;
+        sp.out_global = post.produced;
+      }
+    }
+    sub.copy_waits.resize(dp.copies.size());
+    std::iota(sub.copy_waits.begin(), sub.copy_waits.end(), 0u);
+    dp.sub.push_back(std::move(sub));
+    return;
+  }
   const std::size_t span = shape.partition.rows_per_block_row();
   const std::size_t total =
       shape.partition.block_rows[static_cast<std::size_t>(seg)].size();
@@ -1087,7 +1168,8 @@ void Scheduler::build_strips(
         if (req.whole || s.seg != Segmentation::PartitionAligned) {
           // Replicated input: every strip reads the whole datum.
           sp.read_local = RowInterval{0, alloc.rows};
-          sp.read_global = RowInterval{0, static_cast<std::size_t>(rows)};
+          sp.read_global.push_back(
+              RowInterval{0, static_cast<std::size_t>(rows)});
           continue;
         }
         // Virtual rows the strip reads (1/1 row scale — enforced by
@@ -1105,8 +1187,10 @@ void Scheduler::build_strips(
         // (below), which is why clipping to the datum is enough here.
         const long g0 = std::clamp(lo, 0L, rows);
         const long g1 = std::clamp(hi, g0, rows);
-        sp.read_global = RowInterval{static_cast<std::size_t>(g0),
-                                     static_cast<std::size_t>(g1)};
+        if (g1 > g0) {
+          sp.read_global.push_back(RowInterval{
+              static_cast<std::size_t>(g0), static_cast<std::size_t>(g1)});
+        }
       } else {
         const RowInterval out = intersect(
             RowInterval{w0, std::min(w1, static_cast<std::size_t>(rows))},
@@ -1115,11 +1199,7 @@ void Scheduler::build_strips(
           continue;
         }
         sp.out_global = out;
-        sp.out_local = RowInterval{
-            static_cast<std::size_t>(static_cast<long>(out.begin) -
-                                     alloc.origin),
-            static_cast<std::size_t>(static_cast<long>(out.end) -
-                                     alloc.origin)};
+        sp.out_local = alloc.local(out);
       }
     }
     // Copy gating: the strip waits exactly for the inferred copies (and zero
@@ -1152,16 +1232,15 @@ void Scheduler::wire_strips(const DevicePlan& dp, DeviceWiring& dw,
     StripWiring& sw = dw.strips[k];
     sw.waits.clear();
     sw.waits.reserve(sub.wait_hint);
-    // 1. This task's own copies into the strip's read rows.
+    // 1. This task's own copies into the strip's read rows (every copy has
+    //    its own done event, so the list needs no dedup).
     for (std::uint32_t ci : sub.copy_waits) {
-      const sim::EventId ev = dw.copies[ci].done;
-      if (std::find(sw.waits.begin(), sw.waits.end(), ev) == sw.waits.end()) {
-        sw.waits.push_back(ev);
-      }
+      sw.waits.push_back(dw.copies[ci].done);
     }
-    // 2. Availability of the aligned rows the strip reads (earlier kernels/
-    //    strips on this device — which may have run on another stream — and
-    //    earlier tasks' copies) plus WAR/WAW on the rows it writes.
+    // 2. Availability of the aligned rows the strip reads (earlier kernels,
+    //    strips and device-side reductions on this device — which may have
+    //    run on another stream — and earlier tasks' copies) plus WAR/WAW on
+    //    the rows it writes.
     for (std::size_t i = 0; i < dp.post.size(); ++i) {
       const PatternPost& post = dp.post[i];
       if (!post.active) {
@@ -1169,8 +1248,8 @@ void Scheduler::wire_strips(const DevicePlan& dp, DeviceWiring& dw,
       }
       const StripSpan& sp = sub.spans[i];
       if (post.is_input) {
-        if (!sp.read_global.empty()) {
-          post.avail->collect(sp.read_global, sw.waits);
+        for (const RowInterval& iv : sp.read_global) {
+          post.avail->collect(iv, sw.waits);
         }
       } else if (!sp.out_local.empty()) {
         post.access->collect(sp.out_local, sw.waits);
@@ -1193,7 +1272,6 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
   for (const auto& s : shape.specs) {
     shape.dims.push_back(s.datum->dims());
   }
-  shape.overlap = overlap_enabled_;
   shape.streamed = streamed;
   shape.prefetch = spill_prefetch_;
   planner_.begin_task();
@@ -1356,11 +1434,6 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
       continue;
     }
 
-    const std::vector<StripRange> strip_ranges =
-        try_split ? compute_strips(shape.specs, shape.partition, seg,
-                                   slot_reqs)
-                  : std::vector<StripRange>{};
-    const bool split = strip_ranges.size() >= 2;
     std::vector<const MemoryAnalyzer::Alloc*> allocs(shape.specs.size(),
                                                      nullptr);
 
@@ -1384,11 +1457,7 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
       post.private_copy = req.private_copy;
       post.datum = s.datum;
       post.core = req.core;
-      post.core_local = RowInterval{
-          static_cast<std::size_t>(static_cast<long>(req.core.begin) -
-                                   alloc.origin),
-          static_cast<std::size_t>(static_cast<long>(req.core.end) -
-                                   alloc.origin)};
+      post.core_local = alloc.local(req.core);
       post.produced =
           req.private_copy ? RowInterval{0, s.datum->rows()} : req.core;
       post.local_span = RowInterval{0, alloc.rows};
@@ -1402,51 +1471,18 @@ Scheduler::build_plan(std::vector<PatternSpec> specs, const Work* work,
       dp.post.push_back(post);
 
       plan_copies_for(shape, dw, slot, static_cast<int>(i), req, alloc);
-
-      if (!s.is_input) {
-        if (!split) {
-          // WAR/WAW: the kernel overwrites these local rows. (Split devices
-          // collect this per strip in wire_strips.)
-          dp.post[i].access->collect(dp.post[i].core_local, dw.kernel_waits);
-        }
-      } else if (shape.overlap && !split) {
-        // With overlap on, earlier tasks' boundary strips may have produced
-        // input rows on a different stream of this device, so compute-stream
-        // order alone no longer covers same-device RAW — wait on the rows'
-        // availability events explicitly (a no-op cost when the producer was
-        // this stream: collect() dedups against the copies already listed).
-        for (const RowInterval& iv : dp.post[i].reads) {
-          dp.post[i].avail->collect(iv, dw.kernel_waits);
-        }
-      }
     }
 
-    if (split) {
-      build_strips(shape, dp, seg, slot_reqs, allocs, strip_ranges);
-      wire_strips(dp, dw, node_.create_events(static_cast<int>(dp.sub.size())));
-      for (std::size_t k = 0; k < dp.sub.size(); ++k) {
-        dp.sub[k].wait_hint =
-            static_cast<std::uint32_t>(dw.strips[k].waits.size());
-      }
-    } else {
-      // Kernel dependencies: every one of this task's incoming copies/fills
-      // on this device, plus — for outputs — every previous reader/writer of
-      // the written rows (WAR/WAW; collected in the pattern loop above).
-      // Input data produced by earlier kernels on this device is ordered by
-      // the compute stream itself (explicit availability waits cover strip
-      // producers when overlap is on), and earlier tasks' incoming copies
-      // are covered transitively (their kernels waited on them).
-      for (const CopyWiring& w : dw.copies) {
-        if (std::find(dw.kernel_waits.begin(), dw.kernel_waits.end(),
-                      w.done) == dw.kernel_waits.end()) {
-          dw.kernel_waits.push_back(w.done);
-        }
-      }
-      dw.kernel_done = node_.create_event();
+    build_strips(shape, dp, seg, slot_reqs, allocs,
+                 try_split ? compute_strips(shape.specs, shape.partition, seg,
+                                            slot_reqs)
+                           : std::vector<StripRange>{});
+    wire_strips(dp, dw, node_.create_events(static_cast<int>(dp.sub.size())));
+    for (std::size_t k = 0; k < dp.sub.size(); ++k) {
+      dp.sub[k].wait_hint =
+          static_cast<std::uint32_t>(dw.strips[k].waits.size());
     }
-
     dp.wait_pool_hint = static_cast<std::uint32_t>(dw.wait_pool.size());
-    dp.kernel_wait_hint = static_cast<std::uint32_t>(dw.kernel_waits.size());
   }
 
   // Post-kernel location state (the actual commands are enqueued by
@@ -1489,12 +1525,11 @@ Scheduler::replay_plan(const CacheEntry& entry) {
   const PlanShape& sh = *plan->shape;
   plan->wiring.resize(sh.devices.size());
 
-  // One lock, one block of event ids for every copy and kernel/strip.
+  // One lock, one block of event ids for every copy and strip.
   int n_events = 0;
   for (const DevicePlan& dp : sh.devices) {
     if (dp.active) {
-      n_events += static_cast<int>(dp.copies.size()) +
-                  (dp.sub.empty() ? 1 : static_cast<int>(dp.sub.size()));
+      n_events += static_cast<int>(dp.copies.size() + dp.sub.size());
     }
   }
   sim::EventId next_event = node_.create_events(n_events);
@@ -1507,44 +1542,14 @@ Scheduler::replay_plan(const CacheEntry& entry) {
     DeviceWiring& dw = plan->wiring[slot];
     dw.wait_pool.clear();
     dw.wait_pool.reserve(dp.wait_pool_hint);
-    dw.kernel_waits.clear();
-    dw.kernel_waits.reserve(dp.kernel_wait_hint);
     dw.copies.resize(dp.copies.size());
-    dw.strips.clear(); // recycled wiring may carry another plan's strips
-    // Copies are stored in pattern order; interleave wiring with the
-    // per-pattern wait collection, mirroring build_plan.
-    std::size_t ci = 0;
-    for (std::size_t i = 0; i < sh.specs.size(); ++i) {
-      while (ci < dp.copies.size() &&
-             dp.copies[ci].pattern_index == static_cast<int>(i)) {
-        wire_copy(dp.copies[ci], dw, dw.copies[ci], next_event++,
-                  /*update_monitor=*/false);
-        ++ci;
-      }
-      const PatternPost& post = dp.post[i];
-      if (!post.active || !dp.sub.empty()) {
-        continue; // split devices collect per strip in wire_strips
-      }
-      if (!post.is_input) {
-        post.access->collect(post.core_local, dw.kernel_waits);
-      } else if (sh.overlap) {
-        for (const RowInterval& iv : post.reads) {
-          post.avail->collect(iv, dw.kernel_waits);
-        }
-      }
+    // Same order as build_plan: every copy, then the strips.
+    for (std::size_t ci = 0; ci < dp.copies.size(); ++ci) {
+      wire_copy(dp.copies[ci], dw, dw.copies[ci], next_event++,
+                /*update_monitor=*/false);
     }
-    if (!dp.sub.empty()) {
-      wire_strips(dp, dw, next_event);
-      next_event += static_cast<sim::EventId>(dp.sub.size());
-    } else {
-      for (const CopyWiring& w : dw.copies) {
-        if (std::find(dw.kernel_waits.begin(), dw.kernel_waits.end(),
-                      w.done) == dw.kernel_waits.end()) {
-          dw.kernel_waits.push_back(w.done);
-        }
-      }
-      dw.kernel_done = next_event++;
-    }
+    wire_strips(dp, dw, next_event);
+    next_event += static_cast<sim::EventId>(dp.sub.size());
   }
 
   for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
@@ -1599,11 +1604,12 @@ void Scheduler::issue_copy(sim::StreamId stream, const PlannedCopy& c) {
 
 void Scheduler::launch_binding(
     sim::StreamId stream, int slot, const LaunchBinding& b,
+    const sim::LaunchStats& stats,
     const std::vector<std::vector<std::size_t>>& dims,
     std::function<void()> body, const UnmodifiedRoutine& routine,
     void* context, const std::vector<std::vector<std::byte>>& consts) {
   if (!routine) {
-    node_.launch(stream, b.stats, std::move(body));
+    node_.launch(stream, stats, std::move(body));
     return;
   }
   RoutineArgs args;
@@ -1675,7 +1681,7 @@ void Scheduler::enqueue_device_commands(
     const auto inputs_ready = [&](std::size_t p) {
       return dw.window_events + static_cast<sim::EventId>(p);
     };
-    const auto kernel_done = [&](std::size_t p) {
+    const auto compute_done = [&](std::size_t p) {
       return dw.window_events + n + static_cast<sim::EventId>(p);
     };
     const auto drain_done = [&](std::size_t p) {
@@ -1690,7 +1696,7 @@ void Scheduler::enqueue_device_commands(
       // serializes on the PREVIOUS window's drain.
       if (sh.prefetch) {
         if (p >= 2) {
-          node_.wait_event_generation(copy_stream, kernel_done(p - 2), 1);
+          node_.wait_event_generation(copy_stream, compute_done(p - 2), 1);
           node_.wait_event_generation(copy_stream, drain_done(p - 2), 1);
         }
       } else if (p >= 1) {
@@ -1699,10 +1705,10 @@ void Scheduler::enqueue_device_commands(
       issue(win.refill_begin, win.drain_begin, copy_stream);
       node_.record_event(inputs_ready(p), copy_stream);
       node_.wait_event_generation(compute_stream, inputs_ready(p), 1);
-      launch_binding(compute_stream, slot, win, sh.dims, body(p), routine,
-                     context, consts);
-      node_.record_event(kernel_done(p), compute_stream);
-      node_.wait_event_generation(copy_stream2, kernel_done(p), 1);
+      launch_binding(compute_stream, slot, win, win.stats, sh.dims, body(p),
+                     routine, context, consts);
+      node_.record_event(compute_done(p), compute_stream);
+      node_.wait_event_generation(copy_stream2, compute_done(p), 1);
       issue(win.drain_begin, win.drain_end, copy_stream2);
       node_.record_event(drain_done(p), copy_stream2);
     }
@@ -1735,39 +1741,30 @@ void Scheduler::enqueue_device_commands(
 
   if (copies_only) {
     // CopiesIssued device loss: the victim received its inferred inputs but
-    // never launched. Its kernel_done / strip events are left unrecorded —
-    // recovery resets the victim's ordering maps before any survivor could
-    // collect them, so nothing ever waits on the missing events.
+    // never launched. Its strip events are left unrecorded — recovery
+    // resets the victim's ordering maps before any survivor could collect
+    // them, so nothing ever waits on the missing events.
     return;
   }
 
-  if (!dp.sub.empty()) {
-    // Split device: the interior strip launches on the compute stream the
-    // moment its (non-halo) dependencies clear; boundary strips go to the
-    // dedicated boundary stream so their halo-copy waits never block the
-    // interior's launch. All strips share the device's compute engine, so
-    // the simulator serializes the actual execution.
-    for (std::size_t k = 0; k < dp.sub.size(); ++k) {
-      const SubKernel& sub = dp.sub[k];
-      const StripWiring& sw = dw.strips[k];
-      const sim::StreamId stream =
-          sub.boundary ? boundary_streams_[static_cast<std::size_t>(slot)]
-                       : compute_stream;
-      for (sim::EventId ev : sw.waits) {
-        node_.wait_event_generation(stream, ev, 1);
-      }
-      node_.launch(stream, sub.stats, body(k));
-      node_.record_event(sw.done, stream);
+  // The whole grid and interior strips launch on the compute stream the
+  // moment their dependencies clear; boundary strips go to the dedicated
+  // boundary stream so their halo-copy waits never block the interior's
+  // launch. All strips share the device's compute engine, so the simulator
+  // serializes the actual execution.
+  for (std::size_t k = 0; k < dp.sub.size(); ++k) {
+    const SubKernel& sub = dp.sub[k];
+    const StripWiring& sw = dw.strips[k];
+    const sim::StreamId stream =
+        sub.boundary ? boundary_streams_[static_cast<std::size_t>(slot)]
+                     : compute_stream;
+    for (sim::EventId ev : sw.waits) {
+      node_.wait_event_generation(stream, ev, 1);
     }
-    return;
+    launch_binding(stream, slot, dp, sub.stats, sh.dims, body(k), routine,
+                   context, consts);
+    node_.record_event(sw.done, stream);
   }
-
-  for (sim::EventId ev : dw.kernel_waits) {
-    node_.wait_event_generation(compute_stream, ev, 1);
-  }
-  launch_binding(compute_stream, slot, dp, sh.dims, body(0), routine, context,
-                 consts);
-  node_.record_event(dw.kernel_done, compute_stream);
 }
 
 void Scheduler::set_sanitizer_enabled(bool on) {
@@ -2468,13 +2465,7 @@ void Scheduler::mirror_to_host(const Datum* datum, int slot,
                                std::vector<sim::EventId> waits) {
   const int loc = SegmentLocationMonitor::loc(slot);
   const sim::EventId ev = node_.create_event();
-  access_[{datum->key(), loc}].add_reader(
-      RowInterval{
-          static_cast<std::size_t>(static_cast<long>(rows.begin) -
-                                   alloc.origin),
-          static_cast<std::size_t>(static_cast<long>(rows.end) -
-                                   alloc.origin)},
-      ev);
+  access_[{datum->key(), loc}].add_reader(alloc.local(rows), ev);
   auto& host_access = access_[{datum->key(), SegmentLocationMonitor::kHost}];
   host_access.collect(rows, waits);
   host_access.write(rows, ev);
@@ -2885,23 +2876,18 @@ void Scheduler::repair_aggregations(int victim,
     // commutative and associative, so the later Gather/ReduceScatter sums
     // the same multiset of partials and stays bit-identical.
     const auto* s_alloc = analyzer_.find(d, s);
-    sim::Buffer* s_buf = s_alloc->buffer;
-    const std::size_t s_off = s_alloc->row_offset(0);
-    const std::size_t elems = d->rows() * d->row_elems();
-    auto op = pending->op;
-    sim::LaunchStats st;
-    st.label = "fault_recovery_combine";
-    st.blocks = std::max<std::uint64_t>(1, elems / 256);
-    st.threads_per_block = 256;
-    st.flops = elems;
-    st.global_bytes_read = elems * 8;
-    st.global_bytes_written = elems * 4;
-    node_.launch(stream, st, [s_buf, s_off, out_temp, elems, op] {
-      if (!s_buf->has_backing() || !out_temp->has_backing()) {
-        return;
-      }
-      op(s_buf->data() + s_off, out_temp->data(), elems);
-    });
+    SumFold fold;
+    fold.label = "fault_recovery_combine";
+    fold.stream = stream;
+    fold.staged = 1;
+    fold.staging = out_temp;
+    fold.dst = s_alloc->buffer;
+    fold.dst_off = s_alloc->row_offset(0);
+    fold.elems = d->rows() * d->row_elems();
+    fold.elem_size = d->elem_size();
+    fold.op = pending->op;
+    pull_and_sum(node_, copy_streams_[static_cast<std::size_t>(s)],
+                 copy_streams2_[static_cast<std::size_t>(s)], fold);
     monitor_.remove_pending_writer(d, victim);
     ++stats_.recovery.segments_reexecuted;
   }
@@ -2979,13 +2965,13 @@ void Scheduler::sanitize_dispatch(const TaskPlan& plan) {
     }
   }
 
-  // 1b. Split devices: every inferred copy landing inside a strip's read
-  // span must be listed in that strip's copy gates — otherwise the strip
-  // could launch before its halo/chunk arrives. Purely structural, so it
-  // catches a broken build and a broken replay identically.
+  // 1b. Every inferred copy landing inside a strip's read span must be
+  // listed in that strip's copy gates — otherwise the strip could launch
+  // before its halo/chunk arrives. Purely structural, so it catches a broken
+  // build and a broken replay identically.
   for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
     const DevicePlan& dp = sh.devices[slot];
-    if (!dp.active || dp.sub.empty()) {
+    if (!dp.active) {
       continue;
     }
     const int loc = SegmentLocationMonitor::loc(static_cast<int>(slot));
@@ -3134,20 +3120,15 @@ TaskHandle Scheduler::dispatch(std::shared_ptr<TaskPlan> plan,
     if (!dp.active) {
       continue;
     }
-    // One body per launch — window, sub-kernel strip (the factory narrows
-    // the grid to its block rows) or the unsplit device; none for routines.
+    // One body per launch — window or strip (the factory narrows the grid
+    // to its block rows); none for routines.
     std::vector<std::function<void()>> bodies;
     if (factory) {
-      if (!dp.windows.empty()) {
-        for (const WindowPass& win : dp.windows) {
-          bodies.push_back(factory(slot, win.grid, win.views));
-        }
-      } else if (dp.sub.empty()) {
-        bodies.push_back(factory(slot, dp.grid, dp.views));
-      } else {
-        for (const SubKernel& sub : dp.sub) {
-          bodies.push_back(factory(slot, sub.grid, dp.views));
-        }
+      for (const WindowPass& win : dp.windows) {
+        bodies.push_back(factory(slot, win.grid, win.views));
+      }
+      for (const SubKernel& sub : dp.sub) {
+        bodies.push_back(factory(slot, sub.grid, dp.views));
       }
     }
     const bool copies_only =
@@ -3352,12 +3333,8 @@ void Scheduler::GatherAsync(Datum& datum) {
     std::vector<sim::EventId> producers;
     avail_[{datum.key(), op.src_location}].collect(op.rows, producers);
     // The d2h both reads the device rows and overwrites the host rows.
-    const RowInterval src_local{
-        static_cast<std::size_t>(static_cast<long>(op.rows.begin) -
-                                 alloc->origin),
-        static_cast<std::size_t>(static_cast<long>(op.rows.end) -
-                                 alloc->origin)};
-    access_[{datum.key(), op.src_location}].add_reader(src_local, ev);
+    access_[{datum.key(), op.src_location}].add_reader(alloc->local(op.rows),
+                                                       ev);
     auto& host_access = access_[{datum.key(), SegmentLocationMonitor::kHost}];
     host_access.collect(op.rows, producers);
     host_access.write(op.rows, ev);
@@ -3506,246 +3483,83 @@ void Scheduler::ReduceScatter(Datum& datum, Work work) {
       }
     }
 
+    // Sums `srcs`' partial rows into `dst`'s own on dst's reduce stream,
+    // staging them in `staging` (grown to `need` bytes on dst's device), and
+    // registers every read and the write in the ordering maps.
+    const auto reduce_rows = [&](int dst, const std::vector<int>& srcs,
+                                 sim::Buffer*& staging, std::size_t need,
+                                 const char* label) {
+      const auto* dst_alloc = analyzer_.find(&datum, dst);
+      const int dst_loc = SegmentLocationMonitor::loc(dst);
+      const int dst_dev = devices_[static_cast<std::size_t>(dst)];
+      SumFold f;
+      f.label = label;
+      f.stream = reduce_streams_[static_cast<std::size_t>(dst)];
+      f.staged = srcs.size();
+      for (int s : srcs) {
+        if (staging == nullptr || staging->size() < need) {
+          staging = node_.malloc_device(dst_dev, need);
+        }
+        const auto* src_alloc = analyzer_.find(&datum, s);
+        const int src_loc = SegmentLocationMonitor::loc(s);
+        const int src_dev = devices_[static_cast<std::size_t>(s)];
+        SumPull pull;
+        pull.src = src_alloc->buffer;
+        pull.src_off = src_alloc->row_offset(static_cast<long>(rows.begin));
+        avail_[{datum.key(), src_loc}].collect(rows, pull.waits);
+        pull.done = node_.create_event();
+        access_[{datum.key(), src_loc}].add_reader(src_alloc->local(rows),
+                                                   pull.done);
+        ++stats_.transfers.copies_issued;
+        TransferPlanner::account(stats_.transfers, topo,
+                                 sim::Endpoint::dev(src_dev),
+                                 sim::Endpoint::dev(dst_dev), false,
+                                 seg_bytes);
+        // Network crossings go in pieces, exactly like routed input
+        // transfers; the pieces partition the same segment over the same
+        // link, so byte totals are unchanged.
+        if (planner_active() && copy_chunk_bytes_ > 0 &&
+            topo.network_pipelining && !topo.peer_enabled(src_dev, dst_dev) &&
+            seg_bytes > copy_chunk_bytes_) {
+          pull.chunk_bytes = copy_chunk_bytes_;
+          const std::uint32_t depth = static_cast<std::uint32_t>(
+              (seg_bytes + copy_chunk_bytes_ - 1) / copy_chunk_bytes_);
+          stats_.transfers.max_pipeline_depth =
+              std::max(stats_.transfers.max_pipeline_depth, depth);
+          stats_.transfers.bytes_chunked_network += seg_bytes;
+          stats_.transfers.copies_chunked += depth - 1;
+        }
+        f.pulls.push_back(std::move(pull));
+      }
+      f.staging = staging;
+      f.dst = dst_alloc->buffer;
+      f.dst_off = dst_alloc->row_offset(static_cast<long>(rows.begin));
+      f.elems = rows.size() * datum.row_elems();
+      f.elem_size = datum.elem_size();
+      f.op = op;
+      f.done = node_.create_event();
+      const RowInterval dst_local = dst_alloc->local(rows);
+      avail_[{datum.key(), dst_loc}].collect(rows, f.waits);
+      access_[{datum.key(), dst_loc}].collect(dst_local, f.waits);
+      issue(dst, [&] {
+        pull_and_sum(node_, copy_streams_[static_cast<std::size_t>(dst)],
+                     copy_streams2_[static_cast<std::size_t>(dst)], f);
+      });
+      avail_[{datum.key(), dst_loc}].update(rows, f.done);
+      access_[{datum.key(), dst_loc}].write(dst_local, f.done);
+      return f.done;
+    };
+
     for (const auto& group : combine_groups) {
       const int c = group.front();
-      const auto* c_alloc = analyzer_.find(&datum, c);
-      const int c_loc = SegmentLocationMonitor::loc(c);
-      auto& scratch = combine_staging_[{datum.key(), t * slots() + c}];
-      const std::size_t need = seg_bytes * (group.size() - 1);
-      if (scratch == nullptr || scratch->size() < need) {
-        scratch =
-            node_.malloc_device(devices_[static_cast<std::size_t>(c)], need);
-      }
-      struct Pull {
-        sim::Buffer* src = nullptr;
-        std::size_t src_off = 0;
-        std::vector<sim::EventId> waits;
-        sim::EventId done = 0;
-      };
-      std::vector<Pull> pulls;
-      for (std::size_t i = 1; i < group.size(); ++i) {
-        const int m = group[i];
-        const auto* m_alloc = analyzer_.find(&datum, m);
-        Pull pull;
-        pull.src = m_alloc->buffer;
-        pull.src_off = m_alloc->row_offset(static_cast<long>(rows.begin));
-        avail_[{datum.key(), SegmentLocationMonitor::loc(m)}].collect(
-            rows, pull.waits);
-        pull.done = node_.create_event();
-        access_[{datum.key(), SegmentLocationMonitor::loc(m)}].add_reader(
-            RowInterval{
-                static_cast<std::size_t>(static_cast<long>(rows.begin) -
-                                         m_alloc->origin),
-                static_cast<std::size_t>(static_cast<long>(rows.end) -
-                                         m_alloc->origin)},
-            pull.done);
-        ++stats_.transfers.copies_issued;
-        TransferPlanner::account(
-            stats_.transfers, topo,
-            sim::Endpoint::dev(devices_[static_cast<std::size_t>(m)]),
-            sim::Endpoint::dev(devices_[static_cast<std::size_t>(c)]), false,
-            seg_bytes);
-        pulls.push_back(pull);
-      }
-      const sim::EventId comb_done = node_.create_event();
-      std::vector<sim::EventId> comb_waits;
-      avail_[{datum.key(), c_loc}].collect(rows, comb_waits);
-      const RowInterval c_local{
-          static_cast<std::size_t>(static_cast<long>(rows.begin) -
-                                   c_alloc->origin),
-          static_cast<std::size_t>(static_cast<long>(rows.end) -
-                                   c_alloc->origin)};
-      access_[{datum.key(), c_loc}].collect(c_local, comb_waits);
-      sim::Buffer* c_buffer = c_alloc->buffer;
-      const std::size_t c_off =
-          c_alloc->row_offset(static_cast<long>(rows.begin));
-      const std::size_t c_elems = rows.size() * datum.row_elems();
-      const std::size_t n_pulls = pulls.size();
-      const sim::StreamId c_copy = copy_streams_[static_cast<std::size_t>(c)];
-      const sim::StreamId c_copy2 =
-          copy_streams2_[static_cast<std::size_t>(c)];
-      const sim::StreamId c_compute =
-          reduce_streams_[static_cast<std::size_t>(c)];
-      issue(c, [&] {
-        std::size_t off = 0;
-        int rr = 0;
-        for (const Pull& pull : pulls) {
-          const sim::StreamId cs = (rr++ % 2 == 0) ? c_copy : c_copy2;
-          for (sim::EventId w : pull.waits) {
-            node_.wait_event_generation(cs, w, 1);
-          }
-          node_.memcpy_p2p(cs, scratch, off, pull.src, pull.src_off,
-                           seg_bytes);
-          node_.record_event(pull.done, cs);
-          off += seg_bytes;
-        }
-        for (const Pull& pull : pulls) {
-          node_.wait_event_generation(c_compute, pull.done, 1);
-        }
-        for (sim::EventId w : comb_waits) {
-          node_.wait_event_generation(c_compute, w, 1);
-        }
-        sim::LaunchStats st;
-        st.label = "reduce_scatter_combine";
-        st.blocks = std::max<std::uint64_t>(1, c_elems / 256);
-        st.threads_per_block = 256;
-        st.flops = c_elems * n_pulls;
-        st.global_bytes_read = seg_bytes * n_pulls + c_elems * 4;
-        st.global_bytes_written = c_elems * 4;
-        node_.launch(c_compute, st, [scratch, seg_bytes, c_buffer,
-                                     c_off, c_elems, n_pulls, op] {
-          if (scratch == nullptr || !scratch->has_backing()) {
-            return;
-          }
-          for (std::size_t k = 0; k < n_pulls; ++k) {
-            op(c_buffer->data() + c_off,
-               scratch->data() + k * seg_bytes, c_elems);
-          }
-        });
-        node_.record_event(comb_done, c_compute);
-      });
-      avail_[{datum.key(), c_loc}].update(rows, comb_done);
-      access_[{datum.key(), c_loc}].write(c_local, comb_done);
+      reduce_rows(c, std::vector<int>(group.begin() + 1, group.end()),
+                  combine_staging_[{datum.key(), t * slots() + c}],
+                  seg_bytes * (group.size() - 1), "reduce_scatter_combine");
     }
-
-    // Staging area on the target for the peers' partial segments.
-    struct Piece {
-      sim::Buffer* src = nullptr;
-      std::size_t src_off = 0;
-      std::vector<sim::EventId> waits;
-      sim::EventId done = 0;
-      /// Piece-wise copy granularity (0 = one copy). Set for network
-      /// crossings so a remote node's combined segment pipelines its
-      /// D2H / NIC / H2D hops chunk by chunk, exactly like routed input
-      /// transfers. Byte totals are unchanged: the chunks partition the
-      /// same segment over the same link.
-      std::size_t chunk_bytes = 0;
-    };
-    std::vector<Piece> pieces;
-    sim::Buffer* staging = nullptr;
-    for (int s : sources) {
-      const auto* src_alloc = analyzer_.find(&datum, s);
-      if (staging == nullptr) {
-        // Reuse the staging area across iterations.
-        auto& cached = reduce_staging_[{datum.key(), t}];
-        const std::size_t need = seg_bytes * (writers.size() - 1);
-        if (cached == nullptr || cached->size() < need) {
-          cached = node_.malloc_device(devices_[static_cast<std::size_t>(t)],
-                                       need);
-        }
-        staging = cached;
-      }
-      Piece piece;
-      piece.src = src_alloc->buffer;
-      piece.src_off = src_alloc->row_offset(static_cast<long>(rows.begin));
-      avail_[{datum.key(), SegmentLocationMonitor::loc(s)}].collect(
-          rows, piece.waits);
-      piece.done = node_.create_event();
-      access_[{datum.key(), SegmentLocationMonitor::loc(s)}].add_reader(
-          RowInterval{static_cast<std::size_t>(static_cast<long>(rows.begin) -
-                                               src_alloc->origin),
-                      static_cast<std::size_t>(static_cast<long>(rows.end) -
-                                               src_alloc->origin)},
-          piece.done);
-      ++stats_.transfers.copies_issued;
-      TransferPlanner::account(
-          stats_.transfers, node_.topology(),
-          sim::Endpoint::dev(devices_[static_cast<std::size_t>(s)]),
-          sim::Endpoint::dev(devices_[static_cast<std::size_t>(t)]), false,
-          seg_bytes);
-      if (planner_active() && copy_chunk_bytes_ > 0 &&
-          topo.network_pipelining &&
-          !topo.peer_enabled(devices_[static_cast<std::size_t>(s)], t_dev) &&
-          seg_bytes > copy_chunk_bytes_) {
-        piece.chunk_bytes = copy_chunk_bytes_;
-        const std::uint32_t depth = static_cast<std::uint32_t>(
-            (seg_bytes + copy_chunk_bytes_ - 1) / copy_chunk_bytes_);
-        stats_.transfers.max_pipeline_depth =
-            std::max(stats_.transfers.max_pipeline_depth, depth);
-        stats_.transfers.bytes_chunked_network += seg_bytes;
-        stats_.transfers.copies_chunked += depth - 1;
-      }
-      pieces.push_back(piece);
-    }
-
-    // Local sum kernel: dst rows += every staged partial segment.
-    const sim::EventId sum_done = node_.create_event();
-    std::vector<sim::EventId> sum_waits;
-    avail_[{datum.key(), t_loc}].collect(rows, sum_waits);
-    const RowInterval dst_local{
-        static_cast<std::size_t>(static_cast<long>(rows.begin) -
-                                 dst_alloc->origin),
-        static_cast<std::size_t>(static_cast<long>(rows.end) -
-                                 dst_alloc->origin)};
-    access_[{datum.key(), t_loc}].collect(dst_local, sum_waits);
-
-    sim::Buffer* dst_buffer = dst_alloc->buffer;
-    const std::size_t dst_off =
-        dst_alloc->row_offset(static_cast<long>(rows.begin));
-    const std::size_t elems = rows.size() * datum.row_elems();
-    const std::size_t n_pieces = pieces.size();
-    const sim::StreamId copy_stream =
-        copy_streams_[static_cast<std::size_t>(t)];
-    const sim::StreamId copy_stream2 =
-        copy_streams2_[static_cast<std::size_t>(t)];
-    const sim::StreamId compute_stream =
-        reduce_streams_[static_cast<std::size_t>(t)];
-    issue(t, [&] {
-      std::size_t off = 0;
-      int rr = 0;
-      for (const Piece& piece : pieces) {
-        const sim::StreamId cs = (rr++ % 2 == 0) ? copy_stream : copy_stream2;
-        for (sim::EventId w : piece.waits) {
-          node_.wait_event_generation(cs, w, 1);
-        }
-        if (piece.chunk_bytes > 0) {
-          // Network crossing: issue the segment as chunk pieces on the same
-          // stream (ordering preserved) so successive chunks overlap their
-          // D2H / NIC / H2D legs under the simulator's pipelined occupancy
-          // model. piece.done still records after the last chunk.
-          std::size_t done_b = 0;
-          while (done_b < seg_bytes) {
-            const std::size_t n =
-                std::min(piece.chunk_bytes, seg_bytes - done_b);
-            node_.memcpy_p2p(cs, staging, off + done_b, piece.src,
-                             piece.src_off + done_b, n);
-            done_b += n;
-          }
-        } else {
-          node_.memcpy_p2p(cs, staging, off, piece.src, piece.src_off,
-                           seg_bytes);
-        }
-        node_.record_event(piece.done, cs);
-        off += seg_bytes;
-      }
-      for (const Piece& piece : pieces) {
-        node_.wait_event_generation(compute_stream, piece.done, 1);
-      }
-      for (sim::EventId w : sum_waits) {
-        node_.wait_event_generation(compute_stream, w, 1);
-      }
-      sim::LaunchStats st;
-      st.label = "reduce_scatter_sum";
-      st.blocks = std::max<std::uint64_t>(1, elems / 256);
-      st.threads_per_block = 256;
-      st.flops = elems * n_pieces;
-      st.global_bytes_read = seg_bytes * n_pieces + elems * 4;
-      st.global_bytes_written = elems * 4;
-      node_.launch(compute_stream, st, [staging, seg_bytes, dst_buffer,
-                                        dst_off, elems, n_pieces, op] {
-        if (staging == nullptr || !staging->has_backing()) {
-          return;
-        }
-        for (std::size_t k = 0; k < n_pieces; ++k) {
-          op(dst_buffer->data() + dst_off, staging->data() + k * seg_bytes,
-             elems);
-        }
-      });
-      node_.record_event(sum_done, compute_stream);
-    });
-
-    avail_[{datum.key(), t_loc}].update(rows, sum_done);
-    access_[{datum.key(), t_loc}].write(dst_local, sum_done);
+    // The target sums every remaining partial (possibly none) into its own.
+    const sim::EventId sum_done =
+        reduce_rows(t, sources, reduce_staging_[{datum.key(), t}],
+                    seg_bytes * (writers.size() - 1), "reduce_scatter_sum");
     monitor_.mark_written(&datum, t_loc, rows);
     if (sanitizer_ != nullptr) {
       sanitizer_->on_write(&datum, t_loc, rows);

@@ -110,9 +110,9 @@ struct SchedulerStats {
   /// show planning stays sub-quadratic in device count.
   double monitor_plan_us = 0.0;
   double route_plan_us = 0.0;
-  /// Compute–transfer overlap: sub-kernel launches emitted by interior/
-  /// boundary splitting, summed over every dispatched task (builds and
-  /// replays alike). Zero when overlap is off or no task was splittable.
+  /// Compute–transfer overlap: interior/boundary strips of split (S >= 2)
+  /// devices, summed over every dispatched task (builds and replays
+  /// alike). Zero when overlap is off or no task was splittable.
   std::uint64_t interior_subkernels = 0;
   std::uint64_t boundary_subkernels = 0;
   /// Transfer accounting summed over every dispatched task (builds and
@@ -345,13 +345,6 @@ public:
   /// (0 disables chunking; only applies while overlap is enabled).
   void set_copy_chunk_bytes(std::size_t bytes) { copy_chunk_bytes_ = bytes; }
   std::size_t copy_chunk_bytes() const { return copy_chunk_bytes_; }
-  /// Cost gate on splitting: a task is split only when the estimated halo
-  /// transfer chain (latency + bytes over the slowest inter-device link)
-  /// exceeds `factor` times the added sub-kernel launch overhead. 0 forces
-  /// splitting whenever it is structurally possible (used by tests); the
-  /// default of 1 declines splits that would trade a cheap exchange for two
-  /// extra kernel launches.
-  void set_overlap_min_benefit(double factor) { overlap_min_benefit_ = factor; }
 
   /// Out-of-core execution (DESIGN.md §5.16): per-device byte budget for
   /// analyzer-materialized buffers. 0 (the default) is the legacy unlimited
@@ -537,27 +530,31 @@ private:
     std::vector<RowInterval> halo_reads;
   };
 
-  /// Rows one interior/boundary strip touches for one pattern, precomputed
-  /// at build time (structural, shared through replays). Empty intervals
-  /// mean the pattern is inactive on the device or untouched by the strip.
+  /// Rows one strip touches for one pattern, precomputed at build time
+  /// (structural, shared through replays). Empty intervals mean the pattern
+  /// is inactive on the device or untouched by the strip.
   struct StripSpan {
-    RowInterval read_local;  ///< input rows read, LOCAL (alloc) coordinates
-    RowInterval read_global; ///< aligned input rows read, GLOBAL datum rows
-    RowInterval out_local;   ///< output rows written, LOCAL coordinates
-    RowInterval out_global;  ///< output rows written, GLOBAL datum rows
+    RowInterval read_local; ///< input rows read, LOCAL (alloc) coordinates
+    /// Input rows read at their global position, GLOBAL datum rows: the
+    /// rows whose availability the strip waits on.
+    std::vector<RowInterval> read_global;
+    RowInterval out_local;  ///< output rows written, LOCAL coordinates
+    RowInterval out_global; ///< output rows made up to date, GLOBAL rows
   };
 
-  /// One interior or boundary sub-kernel of a split device task. The grid is
-  /// the device grid narrowed to the strip's block rows, so the same body
-  /// factory produces a bit-identical partial sweep; stats are the device
-  /// launch stats scaled by the strip's block-row share.
+  /// One launch of an in-core device: the whole device grid (S = 1), or
+  /// one interior or boundary strip of a split device (S >= 2) whose grid is
+  /// narrowed to the strip's block rows, so the same body factory produces a
+  /// bit-identical partial sweep, with the device launch stats scaled by the
+  /// strip's block-row share.
   struct SubKernel {
     maps::GridContext grid;
     bool boundary = false;
     sim::LaunchStats stats;
     std::vector<StripSpan> spans;          ///< parallel to PlanShape::specs
     /// Indices into DevicePlan::copies whose destination rows overlap this
-    /// strip's reads — the only transfers the strip waits for (ascending).
+    /// strip's reads — the only transfers the strip waits for (ascending;
+    /// every copy for S = 1).
     std::vector<std::uint32_t> copy_waits;
     std::uint32_t wait_hint = 0; ///< build-time wait count, replay reserve()
   };
@@ -584,37 +581,35 @@ private:
   };
 
   /// A device's share of a task. The binding describes the whole segment;
-  /// an in-core device launches it once (or as interior/boundary strips), a
-  /// streamed device as W >= 1 row-window passes.
+  /// an in-core device launches it as S >= 1 strips, a streamed device as
+  /// W >= 1 row-window passes.
   struct DevicePlan : LaunchBinding {
     bool active = false;
     std::vector<PlannedCopy> copies;
     std::vector<PatternPost> post;
-    /// Interior/boundary sub-kernels (empty = single launch, the legacy
-    /// path). Ascending block-row order, at most one interior strip.
+    /// In-core strips (empty = streamed): one launch of the whole device
+    /// grid, or interior/boundary strips in ascending block-row order with
+    /// at most one interior strip.
     std::vector<SubKernel> sub;
     /// Row-window passes (empty = in-core). Copies before the first refill
     /// fill persistent operands; outputs rest on the host (`post` inactive).
     std::vector<WindowPass> windows;
-    // Build-time wiring sizes, used as reserve() hints on replay:
+    /// Build-time wait-pool size, used as a reserve() hint on replay.
     std::uint32_t wait_pool_hint = 0;
-    std::uint32_t kernel_wait_hint = 0;
   };
 
-  /// Per-dispatch event wiring of one sub-kernel strip.
+  /// Per-dispatch event wiring of one strip.
   struct StripWiring {
     std::vector<sim::EventId> waits;
     sim::EventId done = 0;
   };
 
   /// Per-dispatch event wiring of one device: copy dependencies and the
-  /// kernel ordering events, all recreated for every Invoke.
+  /// strip ordering events, all recreated for every Invoke.
   struct DeviceWiring {
     std::vector<sim::EventId> wait_pool; ///< flattened per-copy wait lists
     std::vector<CopyWiring> copies;      ///< parallel to DevicePlan::copies
-    std::vector<sim::EventId> kernel_waits;
-    sim::EventId kernel_done = 0;
-    std::vector<StripWiring> strips; ///< parallel to DevicePlan::sub
+    std::vector<StripWiring> strips;     ///< parallel to DevicePlan::sub
     /// Streamed device: 3 x W consecutive events — per window, inputs
     /// ready, kernel done and drain done.
     sim::EventId window_events = 0;
@@ -638,10 +633,7 @@ private:
     /// Refills of previously spilled rows among this task's planned copies
     /// (their routing/byte attribution lands here instead of `transfers`).
     SpillStats spill;
-    /// Overlap setting the plan was built under: replays must mirror the
-    /// build's dependency wiring exactly (see wire_strips / the legacy-path
-    /// availability waits), so the flag travels with the shape.
-    bool overlap = false;
+    /// Strips of split (S >= 2) devices.
     std::uint32_t interior_launches = 0;
     std::uint32_t boundary_launches = 0;
     /// Out-of-core: the devices run row-window passes, dispatched
@@ -828,19 +820,22 @@ private:
   /// outputs, and at least one windowed (radius > 0) partitioned input to
   /// overlap against.
   static bool overlap_eligible(const std::vector<PatternSpec>& specs);
-  /// Cost gate: estimated halo-exchange chain vs. the added launch overhead
-  /// of two extra strips (see set_overlap_min_benefit).
+  /// Cost gate: a split pays off only when the estimated halo-exchange
+  /// chain outlasts the launch overhead of two extra strips.
   bool overlap_profitable(const std::vector<PatternSpec>& specs) const;
-  /// Build-side strip construction for one split device: sub-kernel grids,
-  /// per-pattern read/write spans, copy gating and scaled launch stats.
+  /// Build-side strip construction for one in-core device. Fewer than two
+  /// `ranges` give the S = 1 strip: the device grid and stats, gated on
+  /// every copy, with spans taken from the PatternPost records. Otherwise
+  /// one strip per range: narrowed grids, per-pattern read/write spans,
+  /// copy gating and scaled launch stats.
   void build_strips(PlanShape& shape, DevicePlan& dp, int seg,
                     const std::vector<SegmentReq>& reqs,
                     const std::vector<const MemoryAnalyzer::Alloc*>& allocs,
                     const std::vector<StripRange>& ranges);
-  /// (Re)wires a split device's strips against the CURRENT dependency state:
-  /// copy-done gates, availability of aligned reads, WAR on written rows.
-  /// Shared verbatim by build and replay; strips consume consecutive event
-  /// ids starting at `first`.
+  /// (Re)wires an in-core device's strips against the CURRENT dependency
+  /// state: copy-done gates, availability of aligned reads, WAR on written
+  /// rows. Shared verbatim by build and replay; strips consume consecutive
+  /// event ids starting at `first`.
   void wire_strips(const DevicePlan& dp, DeviceWiring& dw, sim::EventId first);
   /// Accumulates a dispatched plan's per-shape counters into stats_ (shared
   /// by the build, cache-hit and cache-miss paths of plan_task).
@@ -864,8 +859,8 @@ private:
                       std::vector<std::vector<std::byte>> consts);
   /// `bodies`: one kernel body per launch (none for routines).
   /// `copies_only` truncates the device's commands after its inferred input
-  /// copies (a streamed device's persistent fills): no strips, windows or
-  /// kernel, no kernel_done record. Used to model a CopiesIssued device loss
+  /// copies (a streamed device's persistent fills): no strips or windows,
+  /// no strip-done records. Used to model a CopiesIssued device loss
   /// (the victim received its inputs but never computed); safe because
   /// recovery resets the victim's ordering maps before any survivor could
   /// wait on the unrecorded events.
@@ -883,9 +878,11 @@ private:
                            std::size_t rows);
   /// Issues one planned copy (or zero fill) on `stream`.
   void issue_copy(sim::StreamId stream, const PlannedCopy& c);
-  /// Launches one binding on `stream`: the kernel body, or the routine over
-  /// parameters and segments built from the binding's operands.
+  /// Launches one binding on `stream` at cost `stats`: the kernel body, or
+  /// the routine over parameters and segments built from the binding's
+  /// operands.
   void launch_binding(sim::StreamId stream, int slot, const LaunchBinding& b,
+                      const sim::LaunchStats& stats,
                       const std::vector<std::vector<std::size_t>>& dims,
                       std::function<void()> body,
                       const UnmodifiedRoutine& routine, void* context,
@@ -1108,7 +1105,6 @@ private:
   /// 4 MiB: small enough that a GEMM stripe pipelines through a fan-out tree
   /// in ~16 pieces, large enough that per-copy latency stays negligible.
   std::size_t copy_chunk_bytes_ = 4u << 20;
-  double overlap_min_benefit_ = 1.0;
   TaskHandle next_task_ = 1;
 
   /// Parallel execution backend (declared last: the destructor body also

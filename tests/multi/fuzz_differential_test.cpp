@@ -1,6 +1,7 @@
 // Differential fuzz harness for the multi-GPU pipeline (label: fuzz_smoke).
 //
 // Each seed derives a random task chain — stencil / elementwise kernels,
+// device-side reductions (Sum partials, ReduceScatter, a consuming stencil),
 // out-of-band host writes, mid-chain gathers — plus a random configuration:
 // grid size, device count (1–4), architecture preset, plan cache on/off,
 // final gather ordering. The chain is generated once as data and executed
@@ -36,11 +37,13 @@ using namespace maps::multi;
 // --- Chain description (generated as data so every run replays it) -----------
 
 struct FuzzOp {
-  enum Kind { Stencil, Mix, HostModify, MidGather } kind = Stencil;
-  int center = 2, cross = 1; ///< Stencil weights
+  enum Kind { Stencil, Mix, HostModify, MidGather, Reduce } kind = Stencil;
+  int center = 2, cross = 1; ///< Stencil / Reduce consumer weights
   int target = 0;            ///< HostModify / MidGather: 0 = A, 1 = B
   int delta = 0;             ///< HostModify increment
 };
+
+bool is_reduce(const FuzzOp& op) { return op.kind == FuzzOp::Reduce; }
 
 struct FuzzCase {
   unsigned seed = 0;
@@ -76,6 +79,9 @@ struct FuzzCase {
         break;
       case FuzzOp::MidGather:
         os << "gather(" << (op.target == 0 ? 'A' : 'B') << ")";
+        break;
+      case FuzzOp::Reduce:
+        os << "reduce(" << op.center << "," << op.cross << ")";
         break;
       }
     }
@@ -114,6 +120,16 @@ FuzzCase make_case(unsigned seed) {
     }
     fc.ops.push_back(op);
   }
+  // Half the chains also reduce device-side. Drawn last, so every seed keeps
+  // the rest of its chain.
+  if (rng() % 2 == 0) {
+    FuzzOp op;
+    op.kind = FuzzOp::Reduce;
+    op.center = static_cast<int>(rng() % 4);
+    op.cross = 1 + static_cast<int>(rng() % 3);
+    const auto at = static_cast<long>(rng() % (fc.ops.size() + 1));
+    fc.ops.insert(fc.ops.begin() + at, op);
+  }
   return fc;
 }
 
@@ -142,10 +158,35 @@ struct FuzzMix {
   }
 };
 
+/// The Reduce op's unmodified routine: every device adds (7x + 1) % 1000 of
+/// its own input rows into its private Sum partial, so the summed partials
+/// hold that map of the whole input for any device count.
+bool fuzz_partial(RoutineArgs& a) {
+  const int* in = a.parameters[0].as<int>();
+  int* acc = a.parameters[1].as<int>();
+  const Segment rows = a.container_segments[0];
+  const std::size_t w = a.parameters[0].view.row_elems;
+  sim::LaunchStats st;
+  st.label = "fuzz_partial";
+  st.blocks = 1 + rows.rows();
+  a.node->launch(a.stream, st, [in, acc, rows, w] {
+    if (in == nullptr || acc == nullptr) {
+      return;
+    }
+    for (std::size_t r = rows.global_row_begin; r < rows.global_row_end; ++r) {
+      for (std::size_t c = 0; c < w; ++c) {
+        acc[r * w + c] +=
+            (7 * in[(r - rows.global_row_begin) * w + c] + 1) % 1000;
+      }
+    }
+  });
+  return true;
+}
+
 // --- Executing one configuration of a chain ----------------------------------
 
 struct RunResult {
-  std::vector<int> a, b;
+  std::vector<int> a, b, c;
   double sim_ms = 0.0; ///< simulated clock after the final gather
 };
 
@@ -160,9 +201,11 @@ sim::DeviceSpec arch_spec(int arch) {
   }
 }
 
-/// Compute-transfer overlap configuration of one run. `force` drops the cost
-/// gate and shrinks the chunk threshold so the tiny fuzz grids still split
-/// and chunk; `stats_out` (optional) receives the run's scheduler stats.
+/// Compute-transfer overlap configuration of one run. `force` runs on
+/// devices without kernel launch latency, which opens the split cost gate,
+/// and shrinks the chunk threshold, so the tiny fuzz grids still split and
+/// chunk when overlap is enabled; `stats_out` (optional) receives the run's
+/// scheduler stats.
 struct OverlapCfg {
   bool enabled = true;
   bool force = false;
@@ -191,6 +234,7 @@ RunResult run_chain(const FuzzCase& fc, int devices,
   RunResult r;
   r.a.resize(fc.W * fc.H);
   r.b.assign(fc.W * fc.H, 0);
+  r.c.assign(fc.W * fc.H, 0);
   std::mt19937 init_rng(fc.seed ^ 0x9e3779b9u);
   for (auto& v : r.a) {
     v = static_cast<int>(init_rng() % 1000);
@@ -200,7 +244,11 @@ RunResult run_chain(const FuzzCase& fc, int devices,
       cluster_nodes > 0
           ? sim::Topology::cluster(cluster_nodes, devices / cluster_nodes)
           : sim::Topology::pcie3_pairs(devices);
-  sim::Node node(sim::homogeneous_node(arch_spec(fc.arch), devices), topo);
+  sim::DeviceSpec spec = arch_spec(fc.arch);
+  if (overlap.force) {
+    spec.kernel_launch_us = 0.0;
+  }
+  sim::Node node(sim::homogeneous_node(spec, devices), topo);
   Scheduler sched(node);
   if (exec_threads >= 0) {
     sched.set_exec_threads(static_cast<unsigned>(exec_threads));
@@ -226,17 +274,23 @@ RunResult run_chain(const FuzzCase& fc, int devices,
   }
   sched.set_overlap_enabled(overlap.enabled);
   if (overlap.force) {
-    sched.set_overlap_min_benefit(0.0);
     sched.set_copy_chunk_bytes(256); // chunk even the fuzz grids' tiny copies
   }
   if (fault) {
     sched.set_copy_fault_hook(std::move(fault));
   }
-  Matrix<int> A(fc.W, fc.H, "A"), B(fc.W, fc.H, "B");
+  // C receives the Reduce op's device-side sums.
+  Matrix<int> A(fc.W, fc.H, "A"), B(fc.W, fc.H, "B"), C(fc.W, fc.H, "C");
   A.Bind(r.a.data());
   B.Bind(r.b.data());
+  C.Bind(r.c.data());
   sched.AnalyzeCall(Win(A), Out(B));
   sched.AnalyzeCall(Win(B), Out(A));
+  if (std::any_of(fc.ops.begin(), fc.ops.end(), is_reduce)) {
+    sched.AnalyzeCall(Work{fc.H, fc.W}, Block2D<int>(A), SumReduced<int>(C));
+    sched.AnalyzeCall(Work{fc.H, fc.W}, Block2D<int>(B), SumReduced<int>(C));
+    sched.AnalyzeCall(Win(C), Out(A));
+  }
 
   int step = 0; // parity selects the ping-pong direction
   for (const FuzzOp& op : fc.ops) {
@@ -268,6 +322,19 @@ RunResult run_chain(const FuzzCase& fc, int devices,
     case FuzzOp::MidGather:
       sched.Gather((op.target == 0) ? A : B);
       break;
+    case FuzzOp::Reduce: {
+      // Sum partials, scattered device-side; the stencil reads the
+      // scattered rows (and their neighbours' halos) straight away.
+      sched.InvokeUnmodified(fuzz_partial, nullptr, Work{fc.H, fc.W},
+                             Block2D<int>(in), SumReduced<int>(C));
+      sched.ReduceScatter(C, Work{fc.H});
+      FuzzStencil k;
+      k.center = op.center;
+      k.cross = op.cross;
+      sched.Invoke(k, Win(C), Out(out));
+      ++step;
+      break;
+    }
     }
   }
   if (fc.gather_a_first) {
@@ -364,21 +431,27 @@ TEST(DifferentialFuzzExtra, OverlapOnOffBitIdenticalWithEqualByteTotals) {
   // Forced interior/boundary splitting and aggressive copy chunking must not
   // change a single output value or a single byte of planned traffic — only
   // the simulated timeline. The sanitizer is live in both runs, so every
-  // strip's copy gating is also structurally checked per dispatch.
-  std::uint64_t split_runs = 0, chunked_runs = 0;
+  // strip's copy gating is also structurally checked per dispatch. With
+  // overlap off, every device launches its whole grid at once, and that
+  // launch must still wait for device-side reductions (Reduce ops) on the
+  // rows it reads.
+  std::uint64_t split_runs = 0, chunked_runs = 0, reduce_runs = 0;
   for (unsigned seed = 700; seed < 740; ++seed) {
     const FuzzCase fc = make_case(seed);
     SchedulerStats stats_on, stats_off;
-    RunResult on, off;
+    RunResult on, off, ref;
     try {
       on = run_chain(fc, fc.devices, nullptr,
                      OverlapCfg{true, /*force=*/true, &stats_on});
       off = run_chain(fc, fc.devices, nullptr,
-                      OverlapCfg{false, false, &stats_off});
+                      OverlapCfg{false, /*force=*/true, &stats_off});
+      ref = run_chain(fc, 1);
     } catch (const SanitizerError& e) {
       FAIL() << "sanitizer report on a clean chain\n  " << fc.describe()
              << "\n  " << e.what();
     }
+    ASSERT_EQ(off.a, ref.a) << "reproducer: " << fc.describe();
+    ASSERT_EQ(off.b, ref.b) << "reproducer: " << fc.describe();
     ASSERT_EQ(on.a, off.a) << "reproducer: " << fc.describe();
     ASSERT_EQ(on.b, off.b) << "reproducer: " << fc.describe();
     ASSERT_EQ(stats_on.transfers.bytes_total(),
@@ -386,12 +459,15 @@ TEST(DifferentialFuzzExtra, OverlapOnOffBitIdenticalWithEqualByteTotals) {
         << "overlap changed planned traffic; reproducer: " << fc.describe();
     split_runs += stats_on.interior_subkernels > 0 ? 1 : 0;
     chunked_runs += stats_on.transfers.copies_chunked > 0 ? 1 : 0;
+    reduce_runs +=
+        fc.devices > 1 && std::any_of(fc.ops.begin(), fc.ops.end(), is_reduce);
     EXPECT_EQ(stats_off.interior_subkernels, 0u) << fc.describe();
     EXPECT_EQ(stats_off.transfers.copies_chunked, 0u) << fc.describe();
   }
-  // The seed range must actually exercise both mechanisms.
+  // The seed range must actually exercise all three.
   EXPECT_GE(split_runs, 10u);
   EXPECT_GE(chunked_runs, 10u);
+  EXPECT_GE(reduce_runs, 10u);
 }
 
 // --- Out-of-core fuzz: random memory budgets change residency only -----------
@@ -414,7 +490,10 @@ TEST(OutOfCoreFuzz, RandomBudgetsBitIdenticalWithBalancedBytes) {
   const unsigned total = std::min(fuzz_seed_total(), 80u);
   std::uint64_t streamed = 0, residency_bytes = 0, streamed_under_loss = 0;
   for (unsigned seed = 0; seed < total; ++seed) {
-    const FuzzCase fc = make_case(seed);
+    // Without Reduce ops: their whole-datum Sum partial is a window-invariant
+    // resident that the budget floor below is not sized for.
+    FuzzCase fc = make_case(seed);
+    std::erase_if(fc.ops, is_reduce);
     std::mt19937 brng(fc.seed ^ 0x00c0ffeeu);
     const std::size_t budget = 16 * 1024 + brng() % (32 * 1024);
     const int victim =
@@ -573,6 +652,14 @@ std::vector<SymStep> symbolic_chain(const FuzzCase& fc) {
       break;
     case FuzzOp::MidGather:
       chain.push_back(SymStep::gather(op.target));
+      break;
+    case FuzzOp::Reduce:
+      // Datum 2 is C. The scattered sums rest partitioned on the devices,
+      // computed from each device's own input rows: the image of the
+      // routine plus ReduceScatter is a task writing C.
+      chain.push_back(SymStep::task({sym_window(in, 0), sym_out(2)}));
+      chain.push_back(SymStep::task({sym_window(2, 1), sym_out(out)}));
+      ++step;
       break;
     }
   }

@@ -652,12 +652,10 @@ TEST(CsrTest, VariableSegmentsPartitionTheSparseStructure) {
 
 // --- ReduceScatter (framework extension) ----------------------------------------
 
-TEST(ReduceScatterTest, DeviceSideAggregationMatchesHostGather) {
-  const std::size_t n = 1024;
-  std::vector<float> host_in(n, 1.0f), via_gather(n, 0.0f),
-      via_rs(n, 0.0f);
-
-  auto routine = [n](RoutineArgs& a) {
+/// Routine adding slot + 1 to every element of its private Sum partial
+/// (parameter 1), so the partials of 4 devices sum to 10.
+UnmodifiedRoutine slot_partials(std::size_t n) {
+  return [n](RoutineArgs& a) {
     float* acc = a.parameters[1].as<float>();
     const int slot = a.device_idx;
     sim::LaunchStats st;
@@ -670,6 +668,13 @@ TEST(ReduceScatterTest, DeviceSideAggregationMatchesHostGather) {
     });
     return true;
   };
+}
+
+TEST(ReduceScatterTest, DeviceSideAggregationMatchesHostGather) {
+  const std::size_t n = 1024;
+  std::vector<float> host_in(n, 1.0f), via_gather(n, 0.0f),
+      via_rs(n, 0.0f);
+  const UnmodifiedRoutine routine = slot_partials(n);
 
   for (bool use_rs : {false, true}) {
     sim::Node node = make_node(4);
@@ -694,6 +699,47 @@ TEST(ReduceScatterTest, DeviceSideAggregationMatchesHostGather) {
   // 1+2+3+4 everywhere, both ways.
   EXPECT_EQ(via_gather, std::vector<float>(n, 10.0f));
   EXPECT_EQ(via_rs, via_gather);
+}
+
+struct CopyKernel {
+  template <typename In, typename Out>
+  void operator()(const maps::ThreadContext&, In& x, Out& y) const {
+    MAPS_FOREACH(it, y) {
+      MAPS_FOREACH_ALIGNED(w, x, it) {
+        *it = *w;
+      }
+    }
+  }
+};
+
+TEST(ReduceScatterTest, LaterKernelReadsTheScatteredSums) {
+  // The reduce-scatter sums run on their own stream, so a kernel reading the
+  // scattered rows right after must wait on their availability — with
+  // overlap off too, where the device launches its whole grid at once. At
+  // this size a kernel that relied on compute-stream order alone would read
+  // one device's raw partial instead of the sum.
+  const std::size_t n = std::size_t{1} << 20;
+  const UnmodifiedRoutine routine = slot_partials(n);
+  for (bool overlap : {true, false}) {
+    sim::Node node = make_node(4);
+    Scheduler sched(node);
+    sched.set_overlap_enabled(overlap);
+    std::vector<float> in(n, 1.0f), acc(n, 0.0f), out(n, 0.0f);
+    Vector<float> In(n, "in"), Acc(n, "acc"), Out(n, "out");
+    In.Bind(in.data());
+    Acc.Bind(acc.data());
+    Out.Bind(out.data());
+    sched.InvokeUnmodified(routine, nullptr, Work{n},
+                           Block2D<float>(static_cast<Datum&>(In)),
+                           SumReduced<float>(Acc));
+    sched.ReduceScatter(Acc, Work{n});
+    sched.Invoke(CopyKernel{}, Window1D<float, 0>(Acc),
+                 StructuredInjective<float, 1>(Out));
+    sched.Gather(Out);
+    ASSERT_EQ(out, std::vector<float>(n, 10.0f))
+        << "overlap " << (overlap ? "on" : "off") << ": out[0] = " << out[0]
+        << ", out[n-1] = " << out[n - 1];
+  }
 }
 
 } // namespace

@@ -200,11 +200,14 @@ TEST_P(OverlapChainTest, OverlapChangesTimingOnly) {
     RunOut r;
     r.a = init;
     r.b.assign(W * H, 0);
-    sim::Node node(sim::homogeneous_node(sim::titan_black(), devices));
+    // No launch latency: the overlap cost gate passes wherever a split is
+    // structurally possible. Both runs use the same spec.
+    sim::DeviceSpec spec = sim::titan_black();
+    spec.kernel_launch_us = 0.0;
+    sim::Node node(sim::homogeneous_node(spec, devices));
     Scheduler sched(node);
     sched.set_sanitizer_enabled(true);
     sched.set_overlap_enabled(overlap);
-    sched.set_overlap_min_benefit(0.0); // split wherever structurally possible
     Matrix<int> A(W, H, "A"), B(W, H, "B");
     A.Bind(r.a.data());
     B.Bind(r.b.data());

@@ -389,10 +389,20 @@ struct BoundedSumNeighborhood {
 
 // --- Interior/boundary splitting (compute-transfer overlap) ---------------------
 
-/// Reference sum-neighborhood run: overlap disabled, same seed/shape.
+/// A GTX 980 with no kernel launch latency: the overlap cost gate (halo
+/// chain vs. the launch cost of two extra strips) then passes for every
+/// structurally splittable task.
+sim::DeviceSpec launch_free_gtx980() {
+  sim::DeviceSpec spec = sim::gtx980();
+  spec.kernel_launch_us = 0.0;
+  return spec;
+}
+
+/// Reference sum-neighborhood run: overlap disabled, same seed/shape and
+/// device spec as the overlap-on runs it is compared with.
 std::vector<int> overlap_reference(int devices, std::size_t W, std::size_t H,
                                    const std::vector<int>& x) {
-  sim::Node node(sim::homogeneous_node(sim::gtx980(), devices));
+  sim::Node node(sim::homogeneous_node(launch_free_gtx980(), devices));
   Scheduler sched(node);
   sched.set_overlap_enabled(false);
   std::vector<int> y(W * H, -1);
@@ -415,9 +425,8 @@ TEST(SchedulerEdgeTest, OverlapSplitsIntoInteriorAndBoundaryStrips) {
   }
   const std::vector<int> ref = overlap_reference(4, W, H, x);
 
-  sim::Node node(sim::homogeneous_node(sim::gtx980(), 4));
+  sim::Node node(sim::homogeneous_node(launch_free_gtx980(), 4));
   Scheduler sched(node);
-  sched.set_overlap_min_benefit(0.0); // force the split past the cost gate
   std::vector<int> y(W * H, -1);
   std::vector<int> xm = x;
   Matrix<int> X(W, H), Y(W, H);
@@ -445,9 +454,8 @@ TEST(SchedulerEdgeTest, OverlapDeclinesSegmentThinnerThanHalo) {
   }
   const std::vector<int> ref = overlap_reference(4, W, H, x);
 
-  sim::Node node(sim::homogeneous_node(sim::gtx980(), 4));
+  sim::Node node(sim::homogeneous_node(launch_free_gtx980(), 4));
   Scheduler sched(node);
-  sched.set_overlap_min_benefit(0.0);
   std::vector<int> y(W * H, -1);
   std::vector<int> xm = x;
   Matrix<int> X(W, H), Y(W, H);
@@ -471,9 +479,8 @@ TEST(SchedulerEdgeTest, OverlapIsANoOpOnOneDevice) {
   }
   const std::vector<int> ref = overlap_reference(1, W, H, x);
 
-  sim::Node node(sim::homogeneous_node(sim::gtx980(), 1));
+  sim::Node node(sim::homogeneous_node(launch_free_gtx980(), 1));
   Scheduler sched(node);
-  sched.set_overlap_min_benefit(0.0);
   std::vector<int> y(W * H, -1);
   std::vector<int> xm = x;
   Matrix<int> X(W, H), Y(W, H);
@@ -498,11 +505,10 @@ TEST(SchedulerEdgeTest, OverlapSplitsZeroBoundaryWithoutCopyDependency) {
     v = static_cast<int>(rng() % 9);
   }
   auto run = [&](bool overlap) {
-    sim::Node node(sim::homogeneous_node(sim::gtx980(), 3));
+    sim::Node node(sim::homogeneous_node(launch_free_gtx980(), 3));
     Scheduler sched(node);
     sched.set_overlap_enabled(overlap);
-    sched.set_overlap_min_benefit(0.0);
-    std::vector<int> y(W * H, -1);
+      std::vector<int> y(W * H, -1);
     std::vector<int> xm = x;
     Matrix<int> X(W, H), Y(W, H);
     X.Bind(xm.data());
