@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -44,17 +44,53 @@ struct Node::Command {
 
 struct Node::StreamState {
   int device = 0;
-  std::deque<Command> queue;
   double last_completion_s = 0.0;
+
+  bool empty() const { return begin == end; }
+  std::size_t size() const { return end - begin; }
+  Command& front() { return segments[begin / kSegment][begin % kSegment]; }
+  const Command& front() const {
+    return segments[begin / kSegment][begin % kSegment];
+  }
+  Command& push() {
+    const std::size_t seg = end / kSegment;
+    if (seg == segments.size()) {
+      segments.emplace_back().reserve(kSegment);
+    }
+    Command& cmd = segments[seg].emplace_back();
+    ++end;
+    return cmd;
+  }
+  void pop_front() {
+    if (++begin == end) {
+      for (std::size_t seg = 0; seg * kSegment < end; ++seg) {
+        segments[seg].clear();
+      }
+      begin = end = 0;
+    }
+  }
+
+private:
+  /// Pending commands are positions [begin, end) over fixed-capacity
+  /// segments. A segment never reallocates, so a long backlog moves no
+  /// command; emptying the queue (every drain does) keeps the segments, so
+  /// steady-state enqueues allocate nothing.
+  static constexpr std::size_t kSegment = 64;
+  std::vector<std::vector<Command>> segments;
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
 struct Node::EventState {
   /// Number of record commands enqueued so far; waits capture this.
   std::uint64_t enqueued_generation = 0;
-  /// Generation of the most recent record command already *processed*.
+  /// Highest generation whose record command was already *processed*.
   std::uint64_t processed_generation = 0;
-  /// Simulated completion time of each processed generation (1-based).
-  std::vector<double> completion_s;
+  /// Simulated completion time of generation 1 (0 until processed). Later
+  /// generations of a re-recorded event live in `later_completion_s_`, so
+  /// recording an event allocates nothing and the table (one entry per
+  /// event ever created) stays small.
+  double first_completion_s = 0.0;
 };
 
 struct Node::DeviceEngines {
@@ -84,6 +120,8 @@ Node::Node(std::vector<DeviceSpec> specs, Topology topo, ExecMode mode)
   if (topo_.device_count() != static_cast<int>(specs_.size())) {
     throw std::invalid_argument("Topology/device-list size mismatch");
   }
+  static_assert(sizeof(EventState) <= 24,
+                "the event table grows with every task: keep entries small");
   const bool functional = mode_ == ExecMode::Functional;
   engines_.resize(specs_.size());
   links_.resize(static_cast<std::size_t>(
@@ -137,7 +175,9 @@ StreamId Node::create_stream(int device) {
   if (device < 0 || device >= device_count()) {
     throw std::out_of_range("create_stream: bad device");
   }
-  streams_.push_back(StreamState{device, {}, host_time_s_});
+  StreamState& st = streams_.emplace_back();
+  st.device = device;
+  st.last_completion_s = host_time_s_;
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -166,7 +206,7 @@ EventId Node::create_events(int n) {
 void Node::enqueue(StreamId stream, Command cmd) {
   std::lock_guard<std::mutex> lock(mutex_);
   cmd.issue_floor_s = host_time_s_;
-  streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(cmd));
+  streams_.at(static_cast<std::size_t>(stream)).push() = std::move(cmd);
 }
 
 void Node::memcpy_h2d(StreamId stream, Buffer* dst, std::size_t dst_off,
@@ -356,12 +396,11 @@ void Node::host_func(StreamId stream, std::function<void()> fn,
 void Node::record_event(EventId event, StreamId stream) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& ev = events_.at(static_cast<std::size_t>(event));
-  Command c;
+  Command& c = streams_.at(static_cast<std::size_t>(stream)).push();
   c.kind = Command::Kind::RecordEvent;
   c.event = event;
   c.event_generation = ++ev.enqueued_generation;
   c.issue_floor_s = host_time_s_;
-  streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(c));
 }
 
 void Node::wait_event(StreamId stream, EventId event) {
@@ -370,24 +409,26 @@ void Node::wait_event(StreamId stream, EventId event) {
   if (ev.enqueued_generation == 0) {
     return; // CUDA semantics: waiting on a never-recorded event is a no-op
   }
-  Command c;
+  Command& c = streams_.at(static_cast<std::size_t>(stream)).push();
   c.kind = Command::Kind::WaitEvent;
   c.event = event;
   c.event_generation = ev.enqueued_generation;
   c.issue_floor_s = host_time_s_;
-  streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(c));
 }
 
 void Node::wait_event_generation(StreamId stream, EventId event,
                                  std::uint64_t generation) {
+  if (generation == 0) {
+    throw std::invalid_argument(
+        "wait_event_generation: generations are 1-based");
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   events_.at(static_cast<std::size_t>(event)); // bounds check
-  Command c;
+  Command& c = streams_.at(static_cast<std::size_t>(stream)).push();
   c.kind = Command::Kind::WaitEvent;
   c.event = event;
   c.event_generation = generation;
   c.issue_floor_s = host_time_s_;
-  streams_.at(static_cast<std::size_t>(stream)).queue.push_back(std::move(c));
 }
 
 double Node::command_duration(const Command& cmd, int device) const {
@@ -582,113 +623,138 @@ void Node::account(const Command& cmd, int device, double duration) {
   }
 }
 
+bool Node::head_parked(const StreamState& st) const {
+  const Command& cmd = st.front();
+  return cmd.kind == Command::Kind::WaitEvent &&
+         events_[static_cast<std::size_t>(cmd.event)].processed_generation <
+             cmd.event_generation;
+}
+
+double Node::event_completion(EventId event, std::uint64_t generation) const {
+  if (generation == 1) {
+    return events_[static_cast<std::size_t>(event)].first_completion_s;
+  }
+  // A wait is released once any generation >= its own was processed, so a
+  // generation recorded out of order may still be unprocessed: it reads 0
+  // until its record runs, exactly as an unset inline slot does.
+  const auto it = later_completion_s_.find(event);
+  if (it == later_completion_s_.end() || it->second.size() < generation - 1) {
+    return 0.0;
+  }
+  return it->second[static_cast<std::size_t>(generation - 2)];
+}
+
+double Node::head_ready(const StreamState& st, int* engine) const {
+  const Command& cmd = st.front();
+  double ready = std::max(st.last_completion_s, cmd.issue_floor_s);
+  if (cmd.kind == Command::Kind::WaitEvent) {
+    ready = std::max(ready, event_completion(cmd.event, cmd.event_generation));
+  } else if (cmd.kind == Command::Kind::Kernel) {
+    ready = std::max(
+        ready, engines_[static_cast<std::size_t>(st.device)].compute_free_s);
+  } else if (cmd.kind == Command::Kind::Copy) {
+    const auto& eng = engines_[static_cast<std::size_t>(st.device)];
+    const int free_engine = eng.copy_free_s[0] <= eng.copy_free_s[1] ? 0 : 1;
+    ready = std::max(ready, eng.copy_free_s[free_engine]);
+    if (engine != nullptr) {
+      *engine = free_engine;
+    }
+    // Transfers sharing a physical link (host uplink/downlink, the
+    // inter-socket hop) serialize on it; in-pair P2P stays engine-bound.
+    // DMA setup latency pipelines with the predecessor's data phase (the
+    // bus is throughput-bound, not command-bound), so a queued copy may
+    // begin its setup while the link drains.
+    ready = std::max(ready, link_free_time(cmd) - copy_setup_seconds(cmd));
+  }
+  return ready;
+}
+
+void Node::push_ready(double key, StreamId stream) {
+  ready_heap_.push_back({key, stream});
+  std::push_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>{});
+}
+
+void Node::schedule_head(StreamId stream) {
+  const StreamState& st = streams_[static_cast<std::size_t>(stream)];
+  if (st.empty()) {
+    return;
+  }
+  if (head_parked(st)) {
+    parked_.push_back(stream);
+  } else {
+    push_ready(head_ready(st), stream);
+  }
+}
+
 void Node::drain_locked() {
   // Deterministic list scheduler: repeatedly pick, among all stream heads
   // whose dependencies are satisfied, the command with the earliest start
   // time (ties broken by stream id), execute it functionally and advance the
-  // simulated clock state.
-  while (true) {
-    int best_stream = -1;
-    double best_start = std::numeric_limits<double>::infinity();
-    int best_engine = -1; // copy engine index, or -1
-
-    for (std::size_t s = 0; s < streams_.size(); ++s) {
-      auto& st = streams_[s];
-      if (st.queue.empty()) {
-        continue;
-      }
-      const Command& cmd = st.queue.front();
-      double ready = std::max(st.last_completion_s, cmd.issue_floor_s);
-      int engine = -1;
-
-      if (cmd.kind == Command::Kind::WaitEvent) {
-        const auto& ev = events_[static_cast<std::size_t>(cmd.event)];
-        if (ev.processed_generation < cmd.event_generation) {
-          continue; // dependency not yet resolved
-        }
-        ready = std::max(
-            ready, ev.completion_s[static_cast<std::size_t>(
-                       cmd.event_generation - 1)]);
-      } else if (cmd.kind == Command::Kind::Kernel) {
-        const auto& eng = engines_[static_cast<std::size_t>(st.device)];
-        ready = std::max(ready, eng.compute_free_s);
-      } else if (cmd.kind == Command::Kind::Copy) {
-        const auto& eng = engines_[static_cast<std::size_t>(st.device)];
-        engine = eng.copy_free_s[0] <= eng.copy_free_s[1] ? 0 : 1;
-        ready = std::max(ready, eng.copy_free_s[engine]);
-        // Transfers sharing a physical link (host uplink/downlink, the
-        // inter-socket hop) serialize on it; in-pair P2P stays engine-bound.
-        // DMA setup latency pipelines with the predecessor's data phase (the
-        // bus is throughput-bound, not command-bound), so a queued copy may
-        // begin its setup while the link drains.
-        ready = std::max(ready, link_free_time(cmd) - copy_setup_seconds(cmd));
-      }
-
-      // Strict '<' with ascending iteration keeps the lowest stream id on
-      // ties, making the schedule deterministic.
-      if (ready < best_start) {
-        best_start = ready;
-        best_stream = static_cast<int>(s);
-        best_engine = engine;
-      }
+  // simulated clock state. The ready heap and the parked list (see the
+  // execution model in node.hpp) are rebuilt here because a throwing body
+  // can leave them stale.
+  ready_heap_.clear();
+  parked_.clear();
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    schedule_head(static_cast<StreamId>(s));
+  }
+  while (!ready_heap_.empty()) {
+    std::pop_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>{});
+    const auto [key, stream] = ready_heap_.back();
+    ready_heap_.pop_back();
+    auto& st = streams_[static_cast<std::size_t>(stream)];
+    int engine = -1;
+    const double start = head_ready(st, &engine);
+    assert(start >= key);
+    if (start > key) {
+      push_ready(start, stream);
+      continue;
     }
 
-    if (best_stream < 0) {
-      // Either fully drained or deadlocked on unrecorded events.
-      bool pending = false;
-      std::string diag;
-      for (std::size_t s = 0; s < streams_.size(); ++s) {
-        if (!streams_[s].queue.empty()) {
-          pending = true;
-          diag += " stream " + std::to_string(s) + " (device " +
-                  std::to_string(streams_[s].device) + ", " +
-                  std::to_string(streams_[s].queue.size()) + " cmds)";
-        }
-      }
-      // Quiesce the asynchronous body backend on BOTH exits: after a drain
-      // every functional effect must be host-visible, and a deadlock report
-      // must not leave bodies running behind the caller's back.
-      if (functional_exec_ != nullptr) {
-        functional_exec_->join_all();
-      }
-      if (pending) {
-        throw std::runtime_error(
-            "sim::Node deadlock: streams blocked on unprocessed events:" +
-            diag);
-      }
-      return;
-    }
-
-    auto& st = streams_[static_cast<std::size_t>(best_stream)];
-    Command cmd = std::move(st.queue.front());
-    st.queue.pop_front();
-
+    const Command& cmd = st.front();
     const double duration = command_duration(cmd, st.device);
-    const double completion = best_start + duration;
+    const double completion = start + duration;
 
     if (cmd.kind == Command::Kind::Kernel) {
       engines_[static_cast<std::size_t>(st.device)].compute_free_s = completion;
     } else if (cmd.kind == Command::Kind::Copy) {
-      engines_[static_cast<std::size_t>(st.device)]
-          .copy_free_s[best_engine] = completion;
+      engines_[static_cast<std::size_t>(st.device)].copy_free_s[engine] =
+          completion;
       reserve_links(cmd, completion, duration);
     } else if (cmd.kind == Command::Kind::RecordEvent) {
       auto& ev = events_[static_cast<std::size_t>(cmd.event)];
-      ev.completion_s.resize(
-          std::max<std::size_t>(ev.completion_s.size(),
-                                static_cast<std::size_t>(cmd.event_generation)),
-          0.0);
-      ev.completion_s[static_cast<std::size_t>(cmd.event_generation - 1)] =
-          completion;
+      if (cmd.event_generation == 1) {
+        ev.first_completion_s = completion;
+      } else {
+        auto& later = later_completion_s_[cmd.event];
+        later.resize(std::max<std::size_t>(
+                         later.size(),
+                         static_cast<std::size_t>(cmd.event_generation - 1)),
+                     0.0);
+        later[static_cast<std::size_t>(cmd.event_generation - 2)] = completion;
+      }
       ev.processed_generation =
           std::max(ev.processed_generation, cmd.event_generation);
+      // Release the parked heads this record satisfies; the rest stay put.
+      std::size_t kept = 0;
+      for (const StreamId waiter : parked_) {
+        const StreamState& ws = streams_[static_cast<std::size_t>(waiter)];
+        if (head_parked(ws)) {
+          parked_[kept++] = waiter;
+        } else {
+          push_ready(head_ready(ws), waiter);
+        }
+      }
+      parked_.resize(kept);
     }
     st.last_completion_s = completion;
     host_time_s_ = std::max(host_time_s_, completion);
+    account(cmd, st.device, duration);
 
-    if (trace_enabled_ || exec_observer_) {
-      TraceEvent te;
-      te.stream = best_stream;
+    const bool traced = trace_enabled_ || exec_observer_;
+    TraceEvent te;
+    if (traced) {
+      te.stream = stream;
       te.device = st.device;
       switch (cmd.kind) {
       case Command::Kind::Kernel: te.kind = 'K'; te.label = cmd.stats.label; break;
@@ -702,8 +768,17 @@ void Node::drain_locked() {
       case Command::Kind::RecordEvent: te.kind = 'R'; te.label = "ev" + std::to_string(cmd.event); break;
       case Command::Kind::WaitEvent: te.kind = 'W'; te.label = "ev" + std::to_string(cmd.event); break;
       }
-      te.start = best_start;
+      te.start = start;
       te.end = completion;
+    }
+    // The command is consumed before any callback runs, so an observer or
+    // body that throws never leaves it to be processed twice.
+    const bool kernel = cmd.kind == Command::Kind::Kernel;
+    std::function<void()> body = std::move(st.front().body);
+    st.pop_front();
+    schedule_head(stream);
+
+    if (traced) {
       if (exec_observer_) {
         exec_observer_(te);
       }
@@ -711,26 +786,46 @@ void Node::drain_locked() {
         trace_.push_back(std::move(te));
       }
     }
-
-    account(cmd, st.device, duration);
-    if (cmd.body) {
+    if (body) {
       if (functional_exec_ != nullptr) {
-        if (cmd.kind == Command::Kind::Kernel) {
+        if (kernel) {
           // Defer the kernel sweep so the event loop keeps scheduling while
           // it runs. Joining the device first keeps same-device kernels
           // strictly ordered (at most one pending body per device); kernels
           // only touch their own device's buffers, so cross-device overlap
           // is safe.
           functional_exec_->join_device(st.device);
-          functional_exec_->run_kernel_body(st.device, std::move(cmd.body));
+          functional_exec_->run_kernel_body(st.device, std::move(body));
           continue;
         }
         // Copies, memsets and host functions read/write device and host
         // memory across devices: every pending kernel body must land first.
         functional_exec_->join_all();
       }
-      cmd.body(); // Functional mode: run the kernel/copy/host function
+      body(); // Functional mode: run the kernel/copy/host function
     }
+  }
+
+  // Either fully drained or deadlocked on unrecorded events.
+  bool pending = false;
+  std::string diag;
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    if (!streams_[s].empty()) {
+      pending = true;
+      diag += " stream " + std::to_string(s) + " (device " +
+              std::to_string(streams_[s].device) + ", " +
+              std::to_string(streams_[s].size()) + " cmds)";
+    }
+  }
+  // Quiesce the asynchronous body backend on BOTH exits: after a drain
+  // every functional effect must be host-visible, and a deadlock report
+  // must not leave bodies running behind the caller's back.
+  if (functional_exec_ != nullptr) {
+    functional_exec_->join_all();
+  }
+  if (pending) {
+    throw std::runtime_error(
+        "sim::Node deadlock: streams blocked on unprocessed events:" + diag);
   }
 }
 

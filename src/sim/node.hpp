@@ -19,13 +19,24 @@
 // engine availability; in Functional mode each command's body also executes,
 // so results are real and verifiable. Simulated timestamps depend only on the
 // dependency graph, never on host wall-clock.
+//
+// The scheduler is event-driven. Runnable stream heads sit in a min-heap
+// keyed by (ready time, stream id); a head that waits on an event record not
+// yet processed is parked and only re-enters the heap when a record of that
+// event satisfies the generation it waits for. A head's ready time is the max
+// of its stream's last completion, its issue floor, the engine and link free
+// times it needs and its event's completion, and each of these only grows as
+// commands run. A heap key is therefore a lower bound: the popped head whose
+// recomputed ready time equals its key is the earliest runnable command with
+// the lowest stream id on ties, and a stale key is re-keyed and pushed back.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/arch.hpp"
@@ -151,6 +162,7 @@ public:
   /// record): waits for the `generation`-th record of `event` even if that
   /// record has not been enqueued yet. The matching record must be enqueued
   /// before the next synchronize(), otherwise the drain reports a deadlock.
+  /// Generations are 1-based: 0 throws std::invalid_argument.
   void wait_event_generation(StreamId stream, EventId event,
                              std::uint64_t generation);
 
@@ -201,6 +213,16 @@ private:
 
   void enqueue(StreamId stream, Command cmd);
   void drain_locked();
+  /// True when the stream's head waits on a generation not yet processed.
+  bool head_parked(const StreamState& st) const;
+  /// Earliest start of the stream's (unparked) head; for a copy, `engine`
+  /// (when given) receives the copy engine it would use.
+  double head_ready(const StreamState& st, int* engine = nullptr) const;
+  void push_ready(double key, StreamId stream);
+  /// Puts a non-empty stream's head in the ready heap or the parked list.
+  void schedule_head(StreamId stream);
+  /// Completion time of `generation` of `event` (0 while unprocessed).
+  double event_completion(EventId event, std::uint64_t generation) const;
   double command_duration(const Command& cmd, int device) const;
   void account(const Command& cmd, int device, double duration);
   /// Earliest time every shared link a copy needs is free (0 for none).
@@ -232,6 +254,13 @@ private:
   std::vector<std::unique_ptr<DeviceAllocator>> allocators_;
   std::vector<StreamState> streams_;
   std::vector<EventState> events_;
+  /// Completion times of generations >= 2 of re-recorded events, indexed
+  /// by generation - 2.
+  std::unordered_map<EventId, std::vector<double>> later_completion_s_;
+  /// Drain state, rebuilt by every drain: runnable heads keyed by ready
+  /// time, and heads waiting on unprocessed event records.
+  std::vector<std::pair<double, StreamId>> ready_heap_;
+  std::vector<StreamId> parked_;
   std::vector<DeviceEngines> engines_;
   /// Shared interconnect resources: per-bus host uplink/downlink and a
   /// per-cluster-node full-duplex inter-socket link. Copies wait for and
