@@ -131,6 +131,13 @@ struct PatternSpec {
   std::function<std::pair<std::size_t, std::size_t>(std::size_t, std::size_t)>
       custom_rows;
 
+  /// A partitioned input read through a window (radius > 0): neighbouring
+  /// segments exchange its halo rows every task.
+  bool halo_input() const {
+    return is_input && seg == Segmentation::PartitionAligned &&
+           (radius_low > 0 || radius_high > 0);
+  }
+
   /// Datum rows corresponding to work rows [w0, w1), before halo.
   std::size_t scale_rows_begin(std::size_t w0) const {
     return w0 * row_scale_num / row_scale_den;

@@ -1,0 +1,115 @@
+// Out-of-core residency policy (DESIGN.md §5.16, §5.17): which allocations
+// stay resident under a per-device memory budget, which get evicted, and how
+// a task too large for the budget streams as row-window passes. Residency
+// decides; the scheduler keeps the mechanism (write back, free the buffer,
+// reset the location's ordering state).
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "multi/hash_util.hpp"
+#include "multi/location_monitor.hpp"
+#include "multi/memory_analyzer.hpp"
+#include "multi/plan_types.hpp"
+
+namespace maps::multi {
+
+/// Thrown when the device-memory budget cannot be honoured: a task needs more
+/// device memory than the budget even with every evictable resident spilled,
+/// or its streamed form cannot fit a single window (budget smaller than one
+/// segment's working set), or its shape cannot be streamed at all. The what()
+/// string names the offending datum/slot and the relevant byte counts.
+class OutOfCoreError : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
+};
+
+namespace detail {
+
+class Residency {
+public:
+  /// `devices`: sim device id per scheduler slot.
+  Residency(sim::Node& node, const std::vector<int>& devices,
+            MemoryAnalyzer& analyzer, SegmentLocationMonitor& monitor)
+      : node_(node), devices_(devices), analyzer_(analyzer),
+        monitor_(monitor) {}
+
+  /// Bytes per device; 0 (the default) is the unlimited in-core behaviour.
+  std::size_t budget() const { return budget_; }
+  void set_budget(std::size_t bytes) { budget_ = bytes; }
+  bool prefetch() const { return prefetch_; }
+  void set_prefetch(bool on) { prefetch_ = on; }
+
+  /// LRU recency: every datum `specs` references counts as touched on every
+  /// `live` slot, for cache hits and builds alike — a replayed plan keeps
+  /// its buffers exactly as warm as a rebuilt one would.
+  void touch(const std::vector<PatternSpec>& specs,
+             const std::vector<int>& live);
+  /// The stream-or-evict decision: a task streams when its own working set
+  /// — the planned bytes of every datum it touches, per its recorded
+  /// requirements `reqs` (per segment) — exceeds the budget on some slot.
+  bool must_stream(const std::vector<PatternSpec>& specs,
+                   const std::vector<std::vector<SegmentReq>>& reqs,
+                   const std::vector<int>& live) const;
+  /// Residents to evict from `slot`, coldest first (stable on ties), so the
+  /// task's datums fit; `after` receives the slot's projected bytes once
+  /// they are gone. Never the task's own datums, pending aggregation
+  /// partials (valid nowhere else) or unbound datums (nowhere to spill).
+  std::vector<const Datum*> victims(int slot,
+                                    const std::vector<PatternSpec>& specs,
+                                    std::size_t& after) const;
+  /// Throws OutOfCoreError when `after` bytes still exceed the budget.
+  void require_fit(int slot, std::size_t after) const;
+  /// Residents a streamed task clears from `slot`: all but its
+  /// whole-requirement datums that still fit their buffers. `pinned`
+  /// accumulates the bytes of the residents that cannot go.
+  std::vector<const Datum*>
+  stream_victims(int slot, const std::vector<PatternSpec>& specs,
+                 const std::vector<SegmentReq>& reqs,
+                 std::size_t& pinned) const;
+  /// Throws OutOfCoreError, naming the cause, for task shapes the window
+  /// decomposition cannot stream.
+  void check_streamable(const std::vector<PatternSpec>& specs,
+                        const std::vector<std::vector<SegmentReq>>& reqs,
+                        const char* label) const;
+  /// Window size in block rows: the largest window two of which fit beside
+  /// `persistent_bytes` of residents. Throws OutOfCoreError when not even
+  /// one block row does.
+  std::size_t window_block_rows(const PlanShape& shape,
+                                const std::vector<SegmentReq>& reqs, int seg,
+                                int slot, std::size_t persistent_bytes,
+                                const char* label) const;
+  /// Plans segment `seg` on `slot` as W >= 1 row-window passes:
+  /// persistent-operand fills, window size and every window's refills,
+  /// binding and drains. Allocates the ping-pong window temporaries into
+  /// `shape.window_temps`; the dispatch frees them.
+  void plan_windows(PlanShape& shape, DevicePlan& dp, DeviceWiring& dw,
+                    int seg, int slot, const std::vector<SegmentReq>& reqs,
+                    std::size_t persistent_bytes, const char* label) const;
+
+private:
+  bool pinned(const Datum* datum) const {
+    return monitor_.pending_aggregation(datum) != nullptr || !datum->bound();
+  }
+
+  sim::Node& node_;
+  const std::vector<int>& devices_;
+  MemoryAnalyzer& analyzer_;
+  SegmentLocationMonitor& monitor_;
+  std::size_t budget_ = 0;
+  bool prefetch_ = true;
+  /// Recency per (datum key, slot). Keys of destroyed datums linger
+  /// harmlessly (never dereferenced).
+  std::uint64_t touch_counter_ = 0;
+  std::unordered_map<std::pair<const void*, int>, std::uint64_t,
+                     PtrIntPairHash>
+      last_touch_;
+};
+
+} // namespace detail
+} // namespace maps::multi

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "multi/plan_types.hpp"
+
 namespace maps::multi {
 
 // --- VersionMap --------------------------------------------------------------
@@ -345,6 +347,121 @@ const VersionMap& AccessSanitizer::latest(const Datum* datum) {
 
 const VersionMap& AccessSanitizer::held(const Datum* datum, int location) {
   return ensure(datum).held[static_cast<std::size_t>(location)];
+}
+
+void AccessSanitizer::on_dispatch(const detail::TaskPlan& plan) {
+  using namespace detail;
+  const PlanShape& sh = *plan.shape;
+  begin_context(plan.handle, task_label(sh));
+
+  // 1. Copies, in plan order (slot-major, pattern order within a slot) —
+  // the same program order Algorithm 2 planned them in, so intra-task copy
+  // chains (a later slot sourcing from an earlier slot's fresh replica)
+  // validate correctly. While walking, record which global rows each
+  // pattern's Wrap/Clamp halo slots were refilled with this dispatch.
+  std::vector<std::vector<IntervalSet>> halo_cover(sh.devices.size());
+  for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
+    const DevicePlan& dp = sh.devices[slot];
+    if (!dp.active) {
+      continue;
+    }
+    halo_cover[slot].resize(sh.specs.size());
+    const DeviceWiring& dw = plan.wiring[slot];
+    for (std::size_t i = 0; i < dp.copies.size(); ++i) {
+      const PlannedCopy& c = dp.copies[i];
+      if (c.zero_fill || dw.copies[i].dropped) {
+        continue;
+      }
+      if (c.dst_host != nullptr) {
+        // A streamed window's drain: its rows rest on the host, fresh.
+        on_write(c.datum, c.dst_location, c.rows);
+      } else if (c.aligned) {
+        on_copy(c.datum, c.src_location, c.dst_location, c.rows);
+      } else {
+        on_halo_source(c.datum, c.src_location, c.rows);
+        halo_cover[slot][static_cast<std::size_t>(c.pattern_index)].add(
+            c.rows);
+      }
+    }
+  }
+
+  // 1b. Every inferred copy landing inside a strip's read span must be
+  // listed in that strip's copy gates — otherwise the strip could launch
+  // before its halo/chunk arrives. Purely structural, so it catches a broken
+  // build and a broken replay identically.
+  for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
+    const DevicePlan& dp = sh.devices[slot];
+    if (!dp.active) {
+      continue;
+    }
+    const int loc = static_cast<int>(slot) + 1;
+    for (const SubKernel& sub : dp.sub) {
+      for (std::size_t ci = 0; ci < dp.copies.size(); ++ci) {
+        const PlannedCopy& c = dp.copies[ci];
+        if (c.zero_fill) {
+          continue; // ordered through the access map, not the copy gates
+        }
+        const StripSpan& sp =
+            sub.spans[static_cast<std::size_t>(c.pattern_index)];
+        if (intersect(c.dst_local, sp.read_local).empty()) {
+          continue;
+        }
+        if (!std::binary_search(sub.copy_waits.begin(), sub.copy_waits.end(),
+                                static_cast<std::uint32_t>(ci))) {
+          report_ungated_strip(c.datum, loc, sp.read_local,
+                                           c.dst_local);
+        }
+      }
+    }
+  }
+
+  // 2. "Before each kernel executes": every input rectangle must be at the
+  // latest version — aligned rectangles against the shadow map, halo-slot
+  // rectangles against this dispatch's boundary refills.
+  for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
+    const DevicePlan& dp = sh.devices[slot];
+    if (!dp.active) {
+      continue;
+    }
+    const int loc = static_cast<int>(slot) + 1;
+    for (std::size_t i = 0; i < dp.post.size(); ++i) {
+      const PatternPost& post = dp.post[i];
+      if (!post.active || !post.is_input) {
+        continue;
+      }
+      for (const RowInterval& iv : post.reads) {
+        on_read(post.datum, loc, iv);
+      }
+      for (const RowInterval& iv : post.halo_reads) {
+        if (!halo_cover[slot][i].covers(iv)) {
+          report_missing_halo(post.datum, loc, iv);
+        }
+      }
+    }
+  }
+
+  // 3. Kernel outputs: aligned outputs advance their core rows to a fresh
+  // version; private (duplicated) partials are handled by the aggregation
+  // state below.
+  for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
+    const DevicePlan& dp = sh.devices[slot];
+    if (!dp.active) {
+      continue;
+    }
+    const int loc = static_cast<int>(slot) + 1;
+    for (const PatternPost& post : dp.post) {
+      if (post.active && !post.is_input && !post.private_copy) {
+        on_write(post.datum, loc, post.core);
+      }
+    }
+  }
+
+  // 4. Reductive/unstructured outputs leave partial copies everywhere.
+  for (const PatternSpec& s : sh.specs) {
+    if (!s.is_input && s.agg != AggregationKind::None) {
+      on_pending_aggregation(s.datum);
+    }
+  }
 }
 
 } // namespace maps::multi

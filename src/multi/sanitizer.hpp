@@ -41,6 +41,10 @@
 
 namespace maps::multi {
 
+namespace detail {
+struct TaskPlan;
+} // namespace detail
+
 /// Thrown on a stale read / stale copy source / unresolved aggregation.
 class SanitizerError : public std::runtime_error {
 public:
@@ -90,6 +94,11 @@ public:
   /// Names the task whose effects the following hooks describe (diagnostics
   /// context only).
   void begin_context(std::uint64_t task, const std::string& label);
+
+  /// Advances the shadow version map by one dispatch's copies, reads,
+  /// writes and aggregations, in program order, checking each read. Runs
+  /// before the plan's commands are issued, for builds and replays alike.
+  void on_dispatch(const detail::TaskPlan& plan);
 
   // --- Program-order hooks (called by the Scheduler at dispatch time) -------
 

@@ -9,17 +9,12 @@
 // device's streams from the calling thread — managing streams and events so
 // memory stays consistent.
 //
-// Steady-state plan caching: the paper's loops (GoL steps, training epochs,
-// NMF iterations) issue thousands of identically shaped tasks, and the
-// sub-1% host overhead budget of §5.3 (Table 4) only holds if Invoke does
-// not replan each of them from scratch. Tasks are fingerprinted by their
-// pattern specs, Work and CostHints; a cached plan is replayed when every
-// referenced datum's location state matches the state captured at plan time
-// (see SegmentLocationMonitor::epoch / state_snapshot). A replay skips
-// partitioning, requirement computation, allocation lookup and Algorithm-2
-// copy planning, re-wiring only the per-task simulator events and the cheap
-// post-task location updates. This is the command-graph-reuse idea of
-// Celerity and Lightning's plan-once/execute-many, applied to Algorithm 1.
+// The Scheduler builds (Algorithm 1), replays and dispatches plans and owns
+// the mechanism every decision acts through — streams, ordering maps,
+// device-to-host copies. The decisions live in modules that own their state
+// and exchange the typed plan values of plan_types.hpp (DESIGN.md §5.17):
+// PlanCache (plan_cache.hpp), Residency (residency.hpp), Recovery
+// (recovery.hpp) and strip planning (strips.cpp).
 //
 // Public API follows the paper's Table 2: AnalyzeCall, Invoke,
 // InvokeUnmodified, Gather, GatherAsync, Wait, WaitAll.
@@ -29,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -48,6 +42,10 @@
 #include "multi/location_monitor.hpp"
 #include "multi/memory_analyzer.hpp"
 #include "multi/pattern_spec.hpp"
+#include "multi/plan_cache.hpp"
+#include "multi/plan_types.hpp"
+#include "multi/recovery.hpp"
+#include "multi/residency.hpp"
 #include "multi/routine.hpp"
 #include "multi/sanitizer.hpp"
 #include "multi/segmenter.hpp"
@@ -55,18 +53,6 @@
 #include "multi/transfer_planner.hpp"
 
 namespace maps::multi {
-
-using TaskHandle = std::uint64_t;
-
-/// Thrown when the device-memory budget cannot be honoured: a task needs more
-/// device memory than the budget even with every evictable resident spilled,
-/// or its streamed form cannot fit a single window (budget smaller than one
-/// segment's working set), or its shape cannot be streamed at all. The what()
-/// string names the offending datum/slot and the relevant byte counts.
-class OutOfCoreError : public std::runtime_error {
-public:
-  using std::runtime_error::runtime_error;
-};
 
 namespace detail {
 
@@ -80,12 +66,8 @@ template <typename T> struct is_constant<Constant<T>> : std::true_type {};
 template <typename A>
 inline constexpr bool is_constant_v = is_constant<std::decay_t<A>>::value;
 
-// HasAppendCounter lives in kernel_exec.hpp (the chunked sweep needs it too).
-
-/// Worker-pool-backed sim::FunctionalExecutor (scheduler.cpp): defers each
-/// device's kernel body onto the shared ThreadPool so functional sweeps
-/// overlap across devices while the event loop keeps scheduling.
-class ExecBackend;
+// HasAppendCounter lives in kernel_exec.hpp (the chunked sweep needs it too);
+// ExecBackend in thread_pool.hpp.
 
 } // namespace detail
 
@@ -130,26 +112,8 @@ struct SchedulerStats {
     std::uint64_t idle_waits = 0;    ///< times a pool thread went to sleep
   } exec;
   /// Device-loss recovery accounting (fault-tolerance mode only).
-  struct RecoveryStats {
-    std::uint64_t devices_lost = 0;
-    /// Victim segments (or segment chunks) re-executed on survivors:
-    /// structured repairs count one per chunk, aggregation repairs one per
-    /// re-executed partial.
-    std::uint64_t segments_reexecuted = 0;
-    /// Input fills of re-executed segments served from the host mirrors
-    /// instead of the (dead) device the original plan used.
-    std::uint64_t copies_rerouted = 0;
-    /// Victim segments that needed no repair because the host already held
-    /// their rows: one per datum the victim had spilled under the memory
-    /// budget (the write-back precedes every eviction, so the rows are
-    /// host-resident by construction), plus losses whose structured repair
-    /// was skipped because the host covered every output row of the
-    /// victim's segment — spilled segments are restored from the host,
-    /// never re-executed.
-    std::uint64_t segments_restored_from_host = 0;
-    /// Simulated time spent draining + repairing, in simulated microseconds.
-    double recovery_sim_us = 0.0;
-  } recovery;
+  using RecoveryStats = multi::RecoveryStats;
+  RecoveryStats recovery;
   /// Topology-aware partition placement (set_placement_enabled): maps
   /// logical block-row segments onto physical devices so halo neighbours
   /// share a cluster node wherever possible.
@@ -245,7 +209,7 @@ public:
     // into strips; their copies still benefit from row-range chunking.
     return dispatch(plan_task(std::move(specs), &*w, CostHints{}, "routine",
                               /*splittable=*/false),
-                    BodyFactory{}, std::move(routine), context,
+                    detail::BodyFactory{}, std::move(routine), context,
                     std::move(consts));
   }
 
@@ -304,7 +268,7 @@ public:
   /// used by bench/ablation_design_choices to quantify §6.2's argument.
   /// Forcing host staging also disables the transfer planner: every route is
   /// prescribed, so there is nothing left to plan.
-  void set_force_host_staged(bool on) { force_host_staged_ = on; }
+  void set_force_host_staged(bool on) { settings_.force_host_staged = on; }
 
   /// Cost-based transfer routing (transfer_planner.hpp; on by default).
   /// When disabled, copies use Algorithm 2's positional source choice
@@ -313,9 +277,9 @@ public:
   /// fingerprint, so toggling it mid-run never replays a plan routed under
   /// the other setting.
   void set_transfer_planner_enabled(bool on) {
-    transfer_planner_enabled_ = on;
+    settings_.transfer_planner = on;
   }
-  bool transfer_planner_enabled() const { return transfer_planner_enabled_; }
+  bool transfer_planner_enabled() const { return settings_.transfer_planner; }
 
   /// Compute–transfer overlap (on by default): splits each per-device MAPS
   /// kernel into an interior sub-kernel that never waits on halo traffic
@@ -324,8 +288,8 @@ public:
   /// as soon as their chunk lands. Simulated *results* are bit-identical on
   /// or off — strips partition the block rows and write disjoint rows — only
   /// the simulated timeline changes. Part of the plan-cache fingerprint.
-  void set_overlap_enabled(bool on) { overlap_enabled_ = on; }
-  bool overlap_enabled() const { return overlap_enabled_; }
+  void set_overlap_enabled(bool on) { settings_.overlap = on; }
+  bool overlap_enabled() const { return settings_.overlap; }
   /// Topology-aware partition placement (off by default). When on, the
   /// segment -> device map is re-derived per task shape so adjacent logical
   /// segments land on the same cluster node wherever the inferred pattern
@@ -339,12 +303,14 @@ public:
   /// canonical order equals the current one, so enabling placement is a
   /// no-op there — results are bit-identical on or off in all cases; only
   /// the simulated timeline changes.
-  void set_placement_enabled(bool on) { placement_enabled_ = on; }
-  bool placement_enabled() const { return placement_enabled_; }
+  void set_placement_enabled(bool on) { settings_.placement = on; }
+  bool placement_enabled() const { return settings_.placement; }
   /// Row-range chunking threshold for large inferred copies, in bytes
   /// (0 disables chunking; only applies while overlap is enabled).
-  void set_copy_chunk_bytes(std::size_t bytes) { copy_chunk_bytes_ = bytes; }
-  std::size_t copy_chunk_bytes() const { return copy_chunk_bytes_; }
+  void set_copy_chunk_bytes(std::size_t bytes) {
+    settings_.copy_chunk_bytes = bytes;
+  }
+  std::size_t copy_chunk_bytes() const { return settings_.copy_chunk_bytes; }
 
   /// Out-of-core execution (DESIGN.md §5.16): per-device byte budget for
   /// analyzer-materialized buffers. 0 (the default) is the legacy unlimited
@@ -358,14 +324,14 @@ public:
   /// the budget is part of the plan-cache fingerprint. Throws OutOfCoreError
   /// when a budget cannot be honoured.
   void set_device_memory_budget(std::size_t bytes);
-  std::size_t device_memory_budget() const { return device_memory_budget_; }
+  std::size_t device_memory_budget() const { return residency_.budget(); }
   /// Streamed-pass prefetch (on by default): the refill of window p+1 is
   /// issued as soon as window p-1's drain frees its double buffer, so it
   /// overlaps window p's kernel. Off serializes each window's evict-then-
   /// refill (the naive baseline bench/out_of_core compares against).
   /// Results are bit-identical either way; only the timeline changes.
-  void set_spill_prefetch_enabled(bool on) { spill_prefetch_ = on; }
-  bool spill_prefetch_enabled() const { return spill_prefetch_; }
+  void set_spill_prefetch_enabled(bool on) { residency_.set_prefetch(on); }
+  bool spill_prefetch_enabled() const { return residency_.prefetch(); }
 
   std::uint64_t tasks_scheduled() const { return next_task_ - 1; }
 
@@ -374,8 +340,10 @@ public:
   /// Steady-state plan caching: LRU bound on distinct cached task shapes
   /// (64 by default). 0 disables caching, so every Invoke replans from
   /// scratch; simulated results are identical either way.
-  void set_plan_cache_capacity(std::size_t n);
-  std::size_t plan_cache_capacity() const { return plan_cache_capacity_; }
+  void set_plan_cache_capacity(std::size_t n) {
+    stats_.cache_evictions += cache_.set_capacity(n);
+  }
+  std::size_t plan_cache_capacity() const { return cache_.capacity(); }
   std::size_t plan_cache_size() const { return cache_.size(); }
 
   const SchedulerStats& stats() const {
@@ -410,14 +378,14 @@ public:
   /// Results after recovery are bit-identical to a fault-free run.
   /// Must be set before any task is scheduled; off by default.
   void set_fault_tolerance_enabled(bool on);
-  bool fault_tolerance_enabled() const { return fault_tolerance_; }
+  bool fault_tolerance_enabled() const { return recovery_ != nullptr; }
   /// Installs a device-loss injector (fault_injector.hpp), consulted per
   /// live slot at CopiesIssued/KernelIssued boundaries of every MAPS-kernel
   /// dispatch and at PreGather on Gather entry. At most one kill fires per
-  /// dispatch. Requires fault tolerance to recover; pass nullptr to clear.
-  void set_fault_injector(FaultInjector injector) {
-    injector_ = std::move(injector);
-  }
+  /// dispatch. Install it after enabling fault tolerance (a non-null
+  /// injector throws std::logic_error while it is off); pass nullptr to
+  /// clear.
+  void set_fault_injector(FaultInjector injector);
   /// Kills a device immediately (drain-completes model: enqueued work
   /// finishes first) and runs recovery. Requires fault tolerance enabled;
   /// throws std::logic_error otherwise or if the slot is already dead.
@@ -429,11 +397,10 @@ public:
   /// when the node has no live devices left (mirroring the already-dead slot
   /// check), and std::runtime_error if the loss would leave no live device.
   void kill_node(int cluster_node);
-  /// Slots still alive, in ascending order (all slots before any loss).
+  /// Slots still alive, in segment order: ascending unless placement
+  /// reordered them (all slots before any loss).
   const std::vector<int>& live_devices() const { return live_; }
-  bool device_lost(int slot) const {
-    return dead_.at(static_cast<std::size_t>(slot));
-  }
+  bool device_lost(int slot) const;
 
   /// One planned copy offered to the fault hook before dispatch.
   struct CopyFaultInfo {
@@ -461,258 +428,6 @@ public:
   std::size_t live_dependency_intervals() const;
 
 private:
-  /// One planned data movement. Everything here is STRUCTURAL — a function of
-  /// the task shape and the location-monitor state at build time — so a
-  /// cached plan shares it read-only across replays; the per-dispatch event
-  /// wiring lives in the parallel CopyWiring. The interval-map pointers are
-  /// resolved once at build time (unordered_map values are address-stable and
-  /// never erased), saving a hash lookup per map per dispatch.
-  struct PlannedCopy {
-    int pattern_index = 0;
-    bool zero_fill = false;
-    bool whole_buffer = false; ///< zero fill of the entire allocation
-    bool aligned = false; ///< rows land at their global position (see below)
-    int src_location = 0;
-    int dst_location = 0;
-    /// Planner path override: bounce this in-node device->device copy
-    /// through host RAM (see SegmentLocationMonitor::CopyOp::via_host).
-    bool via_host = false;
-    Datum* datum = nullptr;
-    RowInterval rows;      ///< GLOBAL rows copied (empty for zero fills)
-    RowInterval dst_local; ///< destination rows in LOCAL buffer coordinates
-    RowInterval src_local; ///< source rows in the source's LOCAL coordinates
-    // Resolved addresses:
-    sim::Buffer* dst_buffer = nullptr;
-    std::size_t dst_offset = 0;
-    sim::Buffer* src_buffer = nullptr; ///< null when source is the host
-    std::size_t src_offset = 0;
-    const std::byte* src_host = nullptr;
-    std::byte* dst_host = nullptr; ///< set for a streamed window's drain
-    std::size_t bytes = 0;
-    // Dependency-tracking maps this copy consults (null for zero fills
-    // except dst_access, and for every copy of a streamed device — the node
-    // is drained around those):
-    IntervalEventMap* src_avail = nullptr;
-    IntervalEventMap* dst_avail = nullptr;
-    AccessIntervalMap* src_access = nullptr;
-    AccessIntervalMap* dst_access = nullptr;
-  };
-
-  /// Fresh-per-dispatch event wiring of one PlannedCopy. The wait list is a
-  /// range of the owning DeviceWiring's flat wait_pool — one allocation per
-  /// device per dispatch instead of one per copy.
-  struct CopyWiring {
-    std::uint32_t wait_begin = 0;
-    std::uint32_t wait_end = 0;
-    sim::EventId done = 0;
-    bool dropped = false; ///< Fault injection: copy suppressed this dispatch.
-  };
-
-  /// Post-task location/ordering effects of one pattern on one device,
-  /// recorded at build time so a replay can re-apply them without recomputing
-  /// segment requirements.
-  struct PatternPost {
-    bool active = false;
-    bool is_input = true;
-    bool private_copy = false;
-    Datum* datum = nullptr;
-    RowInterval core;       ///< GLOBAL rows this device owns for the pattern
-    RowInterval core_local; ///< same, in LOCAL buffer rows
-    RowInterval produced;   ///< GLOBAL rows the kernel makes up to date
-    RowInterval local_span; ///< whole local buffer (what an input reads)
-    IntervalEventMap* avail = nullptr;  ///< this device's availability map
-    AccessIntervalMap* access = nullptr; ///< this device's ordering map
-    // The kernel's input read rectangles in GLOBAL datum rows, split by
-    // whether they land at their global position (see split_read_rows).
-    // Structural (a function of the task shape), so cached plans carry them
-    // through replays — which is exactly where the sanitizer needs them.
-    std::vector<RowInterval> reads;
-    std::vector<RowInterval> halo_reads;
-  };
-
-  /// Rows one strip touches for one pattern, precomputed at build time
-  /// (structural, shared through replays). Empty intervals mean the pattern
-  /// is inactive on the device or untouched by the strip.
-  struct StripSpan {
-    RowInterval read_local; ///< input rows read, LOCAL (alloc) coordinates
-    /// Input rows read at their global position, GLOBAL datum rows: the
-    /// rows whose availability the strip waits on.
-    std::vector<RowInterval> read_global;
-    RowInterval out_local;  ///< output rows written, LOCAL coordinates
-    RowInterval out_global; ///< output rows made up to date, GLOBAL rows
-  };
-
-  /// One launch of an in-core device: the whole device grid (S = 1), or
-  /// one interior or boundary strip of a split device (S >= 2) whose grid is
-  /// narrowed to the strip's block rows, so the same body factory produces a
-  /// bit-identical partial sweep, with the device launch stats scaled by the
-  /// strip's block-row share.
-  struct SubKernel {
-    maps::GridContext grid;
-    bool boundary = false;
-    sim::LaunchStats stats;
-    std::vector<StripSpan> spans;          ///< parallel to PlanShape::specs
-    /// Indices into DevicePlan::copies whose destination rows overlap this
-    /// strip's reads — the only transfers the strip waits for (ascending;
-    /// every copy for S = 1).
-    std::vector<std::uint32_t> copy_waits;
-    std::uint32_t wait_hint = 0; ///< build-time wait count, replay reserve()
-  };
-
-  /// What one launch binds: its grid, cost and per-pattern operands — the
-  /// kernel views and the buffers behind them (null = inactive), parallel to
-  /// PlanShape::specs. Routine parameters and segments derive from them.
-  struct LaunchBinding {
-    maps::GridContext grid;
-    sim::LaunchStats stats;
-    std::vector<DeviceView> views;
-    std::vector<sim::Buffer*> buffers;
-  };
-
-  /// One row-window pass of a streamed device (DESIGN.md §5.16): the device
-  /// grid narrowed to the window's block rows, bound to the window's
-  /// ping-pong temporaries and the persistent operands. Its host refills and
-  /// drains are the ranges [refill_begin, drain_begin) and
-  /// [drain_begin, drain_end) of DevicePlan::copies.
-  struct WindowPass : LaunchBinding {
-    std::uint32_t refill_begin = 0;
-    std::uint32_t drain_begin = 0;
-    std::uint32_t drain_end = 0;
-  };
-
-  /// A device's share of a task. The binding describes the whole segment;
-  /// an in-core device launches it as S >= 1 strips, a streamed device as
-  /// W >= 1 row-window passes.
-  struct DevicePlan : LaunchBinding {
-    bool active = false;
-    std::vector<PlannedCopy> copies;
-    std::vector<PatternPost> post;
-    /// In-core strips (empty = streamed): one launch of the whole device
-    /// grid, or interior/boundary strips in ascending block-row order with
-    /// at most one interior strip.
-    std::vector<SubKernel> sub;
-    /// Row-window passes (empty = in-core). Copies before the first refill
-    /// fill persistent operands; outputs rest on the host (`post` inactive).
-    std::vector<WindowPass> windows;
-    /// Build-time wait-pool size, used as a reserve() hint on replay.
-    std::uint32_t wait_pool_hint = 0;
-  };
-
-  /// Per-dispatch event wiring of one strip.
-  struct StripWiring {
-    std::vector<sim::EventId> waits;
-    sim::EventId done = 0;
-  };
-
-  /// Per-dispatch event wiring of one device: copy dependencies and the
-  /// strip ordering events, all recreated for every Invoke.
-  struct DeviceWiring {
-    std::vector<sim::EventId> wait_pool; ///< flattened per-copy wait lists
-    std::vector<CopyWiring> copies;      ///< parallel to DevicePlan::copies
-    std::vector<StripWiring> strips;     ///< parallel to DevicePlan::sub
-    /// Streamed device: 3 x W consecutive events — per window, inputs
-    /// ready, kernel done and drain done.
-    sim::EventId window_events = 0;
-  };
-
-  /// The immutable product of one full Algorithm-1 planning pass. Shared
-  /// (read-only) between the plan cache and every replayed dispatch, so a
-  /// cache hit never copies specs, views or copy lists.
-  struct PlanShape {
-    std::vector<PatternSpec> specs;
-    /// Per-spec datum dimensions, captured at plan time so routine launches
-    /// never read a Datum.
-    std::vector<std::vector<std::size_t>> dims;
-    TaskPartition partition;
-    int active_slots = 0;
-    std::vector<DevicePlan> devices;
-    /// Transfer accounting of this task's planned copies (routing + byte
-    /// attribution). Structural like everything else here: a replayed plan
-    /// dispatches the same transfers, so it re-contributes the same stats.
-    TransferStats transfers;
-    /// Refills of previously spilled rows among this task's planned copies
-    /// (their routing/byte attribution lands here instead of `transfers`).
-    SpillStats spill;
-    /// Strips of split (S >= 2) devices.
-    std::uint32_t interior_launches = 0;
-    std::uint32_t boundary_launches = 0;
-    /// Out-of-core: the devices run row-window passes, dispatched
-    /// synchronously and never cached, under the `prefetch` setting;
-    /// the dispatch frees `window_temps` once the node drains.
-    bool streamed = false;
-    bool prefetch = false;
-    std::vector<sim::Buffer*> window_temps;
-  };
-
-  struct TaskPlan {
-    TaskHandle handle = 0;
-    std::shared_ptr<const PlanShape> shape;
-    std::vector<DeviceWiring> wiring; ///< parallel to shape->devices
-  };
-
-  // --- Plan cache -----------------------------------------------------------
-
-  /// Canonical word encoding of everything the planning pass depends on
-  /// besides location-monitor state: per-spec pattern descriptors and datum
-  /// identity/shape, Work, CostHints and the cost label.
-  struct PlanFingerprint {
-    std::vector<std::uint64_t> words;
-    std::uint64_t hash = 0;
-    friend bool operator==(const PlanFingerprint& a, const PlanFingerprint& b) {
-      return a.hash == b.hash && a.words == b.words;
-    }
-  };
-  struct FingerprintHash {
-    std::size_t operator()(const PlanFingerprint& fp) const {
-      return static_cast<std::size_t>(fp.hash);
-    }
-  };
-
-  /// Location-monitor state of one referenced datum, captured immediately
-  /// before the build's own mutations. `epoch` equality is the O(1) fast
-  /// path; steady-state loops cycle the monitor through a periodic state
-  /// sequence, so on epoch mismatch the exact snapshot decides and, on
-  /// match, re-arms the stored epoch.
-  struct DatumCapture {
-    const Datum* datum = nullptr;
-    const void* host_ptr = nullptr; ///< bound buffer; re-Bind invalidates
-    mutable std::uint64_t epoch = 0;
-    std::vector<std::uint64_t> snapshot;
-  };
-
-  /// Post-build location state of one referenced datum. Replay restores it
-  /// wholesale: the hit proved the pre-states equal, so the post-state is
-  /// the same deterministic function of (plan, pre-state) — recomputing it
-  /// through mark_copied / mark_written per replay would be pure waste.
-  struct DatumPostState {
-    const Datum* datum = nullptr;
-    SegmentLocationMonitor::StateCopy state;
-  };
-
-  /// One cached plan shape together with the monitor state it was built
-  /// under (`captures`, the validity oracle) and the state it left behind
-  /// (`post_state`, applied on replay).
-  struct CacheEntry {
-    std::shared_ptr<const PlanShape> shape;
-    std::vector<DatumCapture> captures;
-    std::vector<DatumPostState> post_state;
-  };
-
-  /// All cached variants of one fingerprint. A task shape that is invoked
-  /// from several points of a loop body sees a different (but per-site
-  /// periodic) monitor state at each site — e.g. NMF calls the same V-tilde
-  /// task before and after MarkHostModified(H). A single entry would
-  /// ping-pong between the sites and never hit, so each fingerprint keeps a
-  /// small MRU-ordered set of state variants.
-  struct CacheSlot {
-    std::vector<CacheEntry> variants; ///< front = most recently used
-    std::list<PlanFingerprint>::iterator lru_it;
-  };
-  static constexpr std::size_t kVariantsPerFingerprint = 4;
-
-  using BodyFactory = std::function<std::function<void()>(
-      int slot, const maps::GridContext&, const std::vector<DeviceView>&)>;
-
   template <typename... Args>
   void collect(std::vector<PatternSpec>& specs, std::optional<Work>& work,
                std::vector<std::vector<std::byte>>& consts,
@@ -769,93 +484,56 @@ private:
   /// and before any segment -> slot use; no-op unless placement is enabled,
   /// the topology is a cluster, and the pattern set has halo inputs.
   void apply_placement(const std::vector<PatternSpec>& specs);
+  /// Records the task's requirement on every segment's slot with the Memory
+  /// Analyzer (the lazy AnalyzeCall) and returns them, per segment.
+  std::vector<std::vector<SegmentReq>>
+  record_requirements(const std::vector<PatternSpec>& specs,
+                      const TaskPartition& partition, int slots_eff);
   /// Segments a task spans: 1 for single-device work, else every live slot.
   int slots_for(const std::vector<PatternSpec>& specs, const Work* work) const;
   /// Plans one task from the plan cache or through build_plan; under a
-  /// memory budget it first decides whether the task must stream.
-  std::shared_ptr<TaskPlan> plan_task(std::vector<PatternSpec> specs,
-                                      const Work* work, const CostHints& hints,
-                                      const char* label, bool splittable);
+  /// memory budget Residency first decides whether the task must stream.
+  std::shared_ptr<detail::TaskPlan> plan_task(std::vector<PatternSpec> specs,
+                                              const Work* work,
+                                              const CostHints& hints,
+                                              const char* label,
+                                              bool splittable);
   /// One full Algorithm-1 planning pass; `streamed` plans every active
-  /// device as W >= 1 row-window passes (plan_windows).
-  std::shared_ptr<TaskPlan> build_plan(std::vector<PatternSpec> specs,
-                                       const Work* work,
-                                       const CostHints& hints,
-                                       const char* label, bool splittable,
-                                       bool streamed);
-  std::shared_ptr<TaskPlan> replay_plan(const CacheEntry& entry);
-  /// Hands out a TaskPlan for replay, recycling retired ones: the custom
-  /// deleter returns the object to `plan_free_` when dispatch drops the last
-  /// reference, so steady-state replays reuse wiring vectors at full
-  /// capacity instead of allocating. Only replay plans carry the deleter;
-  /// build_plan's plans are freed normally.
-  std::shared_ptr<TaskPlan> acquire_replay_plan();
-  static bool cacheable(const std::vector<PatternSpec>& specs);
-  PlanFingerprint fingerprint(const std::vector<PatternSpec>& specs,
-                              const Work* work, const CostHints& hints,
-                              const char* label, bool splittable) const;
-  std::vector<DatumCapture>
-  capture_datums(const std::vector<PatternSpec>& specs) const;
-  std::vector<DatumPostState>
-  capture_post_states(const std::vector<PatternSpec>& specs,
-                      const std::vector<DatumCapture>& pre) const;
-  bool captures_valid(const std::vector<DatumCapture>& captures) const;
-  void cache_insert(PlanFingerprint fp, std::shared_ptr<const PlanShape> shape,
-                    std::vector<DatumCapture> captures,
-                    std::vector<DatumPostState> post_state);
+  /// device as W >= 1 row-window passes (Residency::plan_windows).
+  std::shared_ptr<detail::TaskPlan>
+  build_plan(std::vector<PatternSpec> specs, const Work* work,
+             const CostHints& hints, const char* label, bool splittable,
+             bool streamed);
+  std::shared_ptr<detail::TaskPlan>
+  replay_plan(const detail::PlanCache::Entry& entry);
   /// (Re)wires one planned copy against the CURRENT dependency state: fresh
   /// waits, the given done event, and the availability side effects of
   /// issuing it. Shared verbatim by build and replay so both produce the
   /// same command sequence; only the build updates the location monitor
   /// (replay restores the captured post-state in one step instead).
-  void wire_copy(const PlannedCopy& c, DeviceWiring& dw, CopyWiring& w,
-                 sim::EventId done, bool update_monitor);
+  void wire_copy(const detail::PlannedCopy& c, detail::DeviceWiring& dw,
+                 detail::CopyWiring& w, sim::EventId done,
+                 bool update_monitor);
   /// Applies the post-task ordering state for one device from the plan's
   /// PatternPost records (kernel reads/writes); the build also applies the
   /// monitor marks.
-  void commit_post_state(const DevicePlan& dp, const DeviceWiring& dw,
-                         int slot, bool update_monitor);
-  /// Structural eligibility for interior/boundary splitting: every pattern
-  /// PartitionAligned (1/1 row scale) or a replicated input, no aggregating
-  /// outputs, and at least one windowed (radius > 0) partitioned input to
-  /// overlap against.
-  static bool overlap_eligible(const std::vector<PatternSpec>& specs);
-  /// Cost gate: a split pays off only when the estimated halo-exchange
-  /// chain outlasts the launch overhead of two extra strips.
-  bool overlap_profitable(const std::vector<PatternSpec>& specs) const;
-  /// Build-side strip construction for one in-core device. Fewer than two
-  /// `ranges` give the S = 1 strip: the device grid and stats, gated on
-  /// every copy, with spans taken from the PatternPost records. Otherwise
-  /// one strip per range: narrowed grids, per-pattern read/write spans,
-  /// copy gating and scaled launch stats.
-  void build_strips(PlanShape& shape, DevicePlan& dp, int seg,
-                    const std::vector<SegmentReq>& reqs,
-                    const std::vector<const MemoryAnalyzer::Alloc*>& allocs,
-                    const std::vector<StripRange>& ranges);
-  /// (Re)wires an in-core device's strips against the CURRENT dependency
-  /// state: copy-done gates, availability of aligned reads, WAR on written
-  /// rows. Shared verbatim by build and replay; strips consume consecutive
-  /// event ids starting at `first`.
-  void wire_strips(const DevicePlan& dp, DeviceWiring& dw, sim::EventId first);
+  void commit_post_state(const detail::DevicePlan& dp,
+                         const detail::DeviceWiring& dw, int slot,
+                         bool update_monitor);
   /// Accumulates a dispatched plan's per-shape counters into stats_ (shared
   /// by the build, cache-hit and cache-miss paths of plan_task).
-  void account_dispatch(const PlanShape& shape);
+  void account_dispatch(const detail::PlanShape& shape);
   /// Registers pending aggregations for Reductive/Unstructured outputs
   /// (build only) and resets append counters.
-  void commit_aggregations(const PlanShape& shape, bool update_monitor);
+  void commit_aggregations(const detail::PlanShape& shape,
+                           bool update_monitor);
   /// Offers every planned copy to the fault hook (sets CopyWiring::dropped).
-  void apply_copy_faults(TaskPlan& plan);
-  /// Advances the sanitizer's shadow version map by this dispatch's copies,
-  /// reads, writes and aggregations, in program order. Runs before the
-  /// plan's commands are issued, for builds and replays alike.
-  void sanitize_dispatch(const TaskPlan& plan);
-  /// The task's cost label, for diagnostics.
-  static const char* task_label(const PlanShape& shape);
+  void apply_copy_faults(detail::TaskPlan& plan);
   /// Hands a planned MAPS kernel (`factory`) or unmodified routine to the
   /// devices; a streamed plan also drains the node before returning.
-  TaskHandle dispatch(std::shared_ptr<TaskPlan> plan,
-                      const BodyFactory& factory, UnmodifiedRoutine routine,
-                      void* context,
+  TaskHandle dispatch(std::shared_ptr<detail::TaskPlan> plan,
+                      const detail::BodyFactory& factory,
+                      UnmodifiedRoutine routine, void* context,
                       std::vector<std::vector<std::byte>> consts);
   /// `bodies`: one kernel body per launch (none for routines).
   /// `copies_only` truncates the device's commands after its inferred input
@@ -865,43 +543,23 @@ private:
   /// recovery resets the victim's ordering maps before any survivor could
   /// wait on the unrecorded events.
   void enqueue_device_commands(
-      const TaskPlan& plan, int slot,
+      const detail::TaskPlan& plan, int slot,
       std::vector<std::function<void()>> bodies,
       const UnmodifiedRoutine& routine, void* context,
       const std::vector<std::vector<std::byte>>& consts,
       bool copies_only = false);
-  /// Appends operand `core` of `datum`, held in `buffer` as virtual rows
-  /// [origin, origin + rows), to the binding; a null `buffer` appends an
-  /// inactive operand.
-  static void bind_operand(LaunchBinding& b, const Datum* datum,
-                           RowInterval core, sim::Buffer* buffer, long origin,
-                           std::size_t rows);
   /// Issues one planned copy (or zero fill) on `stream`.
-  void issue_copy(sim::StreamId stream, const PlannedCopy& c);
+  void issue_copy(sim::StreamId stream, const detail::PlannedCopy& c);
   /// Launches one binding on `stream` at cost `stats`: the kernel body, or
   /// the routine over parameters and segments built from the binding's
   /// operands.
-  void launch_binding(sim::StreamId stream, int slot, const LaunchBinding& b,
+  void launch_binding(sim::StreamId stream, int slot,
+                      const detail::LaunchBinding& b,
                       const sim::LaunchStats& stats,
                       const std::vector<std::vector<std::size_t>>& dims,
                       std::function<void()> body,
                       const UnmodifiedRoutine& routine, void* context,
                       const std::vector<std::vector<std::byte>>& consts);
-  // --- Fault tolerance (scheduler_recovery in scheduler.cpp) ---------------
-  /// Records last_task_ and the per-datum aggregation logs for one dispatch
-  /// (factory is null for unmodified routines — they cannot be re-executed
-  /// per segment, so a mid-routine loss is unrecoverable).
-  void record_task_logs(const std::shared_ptr<TaskPlan>& plan,
-                        const BodyFactory& factory);
-  /// Enqueues async d2h mirrors of every active non-private output's core
-  /// rows to the bound host buffers (fault-tolerance mode). `skip_slot`
-  /// suppresses the mirror of a just-killed victim (-1 = none).
-  void enqueue_host_mirrors(const TaskPlan& plan, int skip_slot);
-  /// Mirrors `rows` of (datum, slot) to the bound host buffer once `waits`
-  /// fire, making the host a holder of the rows.
-  void mirror_to_host(const Datum* datum, int slot,
-                      const MemoryAnalyzer::Alloc& alloc, RowInterval rows,
-                      std::vector<sim::EventId> waits);
   /// The one way commands reach a device: runs `enqueue` (which enqueues
   /// onto `slot`'s streams) on the caller's thread. Each stream belongs to
   /// one slot, so call order is stream order, and every command's issue
@@ -912,79 +570,85 @@ private:
   template <typename Enqueue> void issue(int slot, Enqueue&& enqueue);
   /// Rethrows, and clears, the first error captured by issue().
   void rethrow_issue_error();
-  /// Issues a d2h copy (after `waits`, recording `done`) on `slot` and
-  /// accounts it in the run's transfer totals.
+  /// Issues a d2h copy (after `waits`, then recording `done` unless it is
+  /// negative) on `slot` and books it in `acct`.
   void submit_to_host(int slot, sim::StreamId stream,
                       std::vector<sim::EventId> waits, std::byte* dst,
                       sim::Buffer* src, std::size_t src_off, std::size_t bytes,
-                      sim::EventId done);
-  /// Drain-completes device loss: flushes + synchronizes, marks the slot
-  /// dead, invalidates its holdings/plans/ordering state, clears the plan
-  /// cache, then re-executes the victim's unfinished work on survivors.
+                      sim::EventId done, TransferStats& acct);
+  /// The one device -> host copy of a datum's rows (write-backs, mirrors,
+  /// gathers): d2h of `rows` from `slot`'s allocation to the bound host
+  /// buffer, which becomes a holder of the rows in the monitor, the
+  /// sanitizer and the recovery stamps.
+  void copy_to_host(const Datum* datum, int slot, sim::StreamId stream,
+                    const MemoryAnalyzer::Alloc& alloc, RowInterval rows,
+                    TransferStats& acct, std::vector<sim::EventId> waits,
+                    sim::EventId done);
+  /// Spill-accounted d2h of `rows` of `datum` (out-of-core write-back).
+  void write_back(const Datum* datum, int slot,
+                  const MemoryAnalyzer::Alloc& alloc, RowInterval rows);
+  /// copy_to_host ordered against the datum's dependency state: after
+  /// `waits` and every prior access to the host rows, registered as a read
+  /// of the device rows and as the host rows' producer. Returns its event.
+  sim::EventId ordered_to_host(const Datum* datum, int slot,
+                               sim::StreamId stream,
+                               const MemoryAnalyzer::Alloc& alloc,
+                               RowInterval rows,
+                               std::vector<sim::EventId> waits);
+  /// Enqueues async d2h mirrors of every active non-private output's core
+  /// rows (fault-tolerance mode). `skip_slot` suppresses the mirror of a
+  /// just-killed victim (-1 = none).
+  void enqueue_host_mirrors(const detail::TaskPlan& plan, int skip_slot);
+  /// Drain-completes device loss: drains, marks the slot dead, invalidates
+  /// its holdings, ordering state, allocations and the plan cache, then has
+  /// Recovery re-execute the victim's unfinished work on the survivors.
   void recover_device(int victim, KillStage stage);
-  /// Re-runs the victim's lost segment of the last dispatched task, chunked
-  /// across survivors, from the host mirrors; writes results to the host.
-  void repair_structured(int victim, KillStage stage,
-                         std::vector<sim::Buffer*>& temps);
-  /// Re-computes the victim's pending aggregation partials (Reductive Sum)
-  /// on a surviving writer and folds them into that survivor's partial.
-  void repair_aggregations(int victim, std::vector<sim::Buffer*>& temps);
-  /// A repair temporary on `slot` holding `req`'s rows of `spec`, filled from
-  /// the host mirrors. `pre_task_core`: the lost task wrote the datum in
-  /// place, so its host rows are usable only inside the victim's core.
-  sim::Buffer* stage_from_host(const PatternSpec& spec, const SegmentReq& req,
-                               int slot, sim::StreamId stream,
-                               std::vector<sim::Buffer*>& temps,
-                               bool pre_task_core);
+  /// The bound host buffer of `datum` changed content (recovery stamp).
+  void host_written(const Datum* datum) {
+    if (recovery_ != nullptr) {
+      recovery_->host_written(datum);
+    }
+  }
   int live_count() const { return static_cast<int>(live_.size()); }
   std::uint64_t* append_counter(const Datum* datum, int slot);
   TaskPartition derive_partition(const std::vector<PatternSpec>& specs,
                                  const Work* work, int slots_eff) const;
-  void plan_copies_for(PlanShape& shape, DeviceWiring& dw, int slot,
-                       int pattern_index, const SegmentReq& req,
+  void plan_copies_for(detail::PlanShape& shape, detail::DeviceWiring& dw,
+                       int slot, int pattern_index, const SegmentReq& req,
                        const MemoryAnalyzer::Alloc& alloc);
 
-  // --- Out-of-core execution (DESIGN.md §5.16) ------------------------------
+  // --- Out-of-core mechanism (policy: residency.hpp) -------------------------
   /// Every residency change invalidates in-flight commands and cached plans:
   /// drain the node and drop the plan cache.
   void invalidate_plans();
-  /// Budget enforcement for in-core builds (called from build_plan before
-  /// allocations materialize): evicts least-recently-touched residents the
-  /// task does not reference, per active slot, until the task's datums fit.
-  /// Throws OutOfCoreError when they cannot.
+  /// Spills Residency's victims on every segment's slot until the task's
+  /// datums fit; throws OutOfCoreError when they cannot.
   void enforce_budget(const std::vector<PatternSpec>& specs, int slots_eff);
   /// Writes one (datum, slot) allocation's dirty rows back to the bound host
   /// buffer, marks the holding spilled, resets the location's ordering maps
-  /// and frees the buffer. The first eviction of a wave quiesces in-flight
-  /// work and drops the plan cache (`quiesced`); later ones reuse the drain.
-  void spill_allocation(const Datum* datum, int slot, bool& quiesced);
+  /// and frees the buffer. Callers first quiesce in-flight work and drop the
+  /// plan cache (invalidate_plans), once per wave of evictions.
+  void spill_allocation(const Datum* datum, int slot);
   /// Makes the bound host buffer authoritative for every row of `datum`
   /// (d2h of whatever the monitor says the host is missing).
-  /// Streamed plans flush their inputs through this before windowing.
   void flush_datum_to_host(Datum* datum);
-  /// Spill-accounted d2h of `rows` of `datum` from `slot`'s allocation to
-  /// the bound host buffer; the host becomes a holder of the rows.
-  void write_back(const Datum* datum, int slot,
-                  const MemoryAnalyzer::Alloc& alloc, RowInterval rows);
-  /// Forgets the ordering state of (datum, location) after its buffer is
-  /// dropped (plans hold stable pointers into the maps, so reset in place).
-  void reset_ordering(const Datum* datum, int loc);
-  /// Throws OutOfCoreError, naming the cause, for task shapes the window
-  /// decomposition cannot stream.
-  void check_streamable(const PlanShape& shape,
-                        const std::vector<std::vector<SegmentReq>>& reqs,
-                        const char* label) const;
-  /// Plans one streamed device: persistent-operand fills, window size (two
-  /// windows fit beside `persistent_bytes` of residents) and every
-  /// window's refills, binding and drains.
-  void plan_windows(PlanShape& shape, DevicePlan& dp, DeviceWiring& dw,
-                    int seg, const std::vector<SegmentReq>& reqs,
-                    std::size_t persistent_bytes, const char* label);
 
   /// True when plan builds should route copies through the transfer planner
   /// (forced host staging prescribes every route, leaving nothing to plan).
   bool planner_active() const {
-    return transfer_planner_enabled_ && !force_host_staged_;
+    return settings_.transfer_planner && !settings_.force_host_staged;
+  }
+
+  /// Dependency state of a datum at one location (0 = host): which event
+  /// made each row range available (GLOBAL rows, range-granular to keep
+  /// boundary exchanges parallel) and reader/writer ordering (LOCAL buffer
+  /// rows). Plans hold stable pointers into both, so resets happen in place.
+  struct Ordering {
+    IntervalEventMap avail;
+    AccessIntervalMap access;
+  };
+  Ordering& ordering(const Datum* datum, int loc) {
+    return ordering_[{datum->key(), loc}];
   }
 
   /// The execution backend's worker pool, or null on the sequential path.
@@ -994,117 +658,50 @@ private:
 
   sim::Node& node_;
   std::vector<int> devices_;
-  std::vector<sim::StreamId> compute_streams_, copy_streams_, copy_streams2_;
-  /// Dedicated per-device stream for reduce-scatter sum/combine kernels, so
-  /// they wait only on their event dependencies (and the compute engine),
-  /// not on stream order behind the device's whole kernel backlog.
-  std::vector<sim::StreamId> reduce_streams_;
-  /// Per-device stream for boundary strip sub-kernels: boundary strips wait
-  /// on their halo copies without blocking the interior strip's launch on
-  /// the main compute stream (they still share the compute engine).
-  std::vector<sim::StreamId> boundary_streams_;
+  std::vector<detail::SlotStreams> streams_;
   MemoryAnalyzer analyzer_;
   SegmentLocationMonitor monitor_;
   TransferPlanner planner_;
-
-  /// Which event made each row range of a datum available at a location
-  /// (0=host); GLOBAL rows, range-granular to keep boundary exchanges
-  /// parallel.
-  std::unordered_map<std::pair<const void*, int>, IntervalEventMap,
-                     PtrIntPairHash>
-      avail_;
-  /// Reader/writer ordering per (datum, location), in LOCAL buffer rows.
-  std::unordered_map<std::pair<const void*, int>, AccessIntervalMap,
-                     PtrIntPairHash>
-      access_;
-  /// Per-device append counters for dynamic outputs.
-  std::unordered_map<const void*,
-                     std::shared_ptr<std::vector<std::uint64_t>>>
-      append_counts_;
-  std::unordered_map<const void*, std::shared_ptr<std::size_t>>
-      gathered_counts_;
-
-  /// Staging buffers owned by ReduceScatter, cached per (datum, slot).
+  /// Slots still alive. All partitioning/segmentation indexes SEGMENTS
+  /// [0, live_count()) which map to physical slots through this vector
+  /// (ascending unless placement reordered it); per-device resources
+  /// (streams, ordering maps, the location monitor) stay physically indexed.
+  std::vector<int> live_;
+  std::unordered_map<std::pair<const void*, int>, Ordering, PtrIntPairHash>
+      ordering_;
+  /// Dynamic (Append) outputs: per-slot append counters, and the rows the
+  /// last Gather produced.
+  struct AppendCounts {
+    std::shared_ptr<std::vector<std::uint64_t>> per_slot;
+    std::shared_ptr<std::size_t> gathered;
+  };
+  std::unordered_map<const void*, AppendCounts> append_counts_;
+  /// ReduceScatter staging per (datum, target * slots + source): source ==
+  /// target is the target's own sum staging, any other source the staging
+  /// of the in-pair pre-combine on that combiner.
   std::unordered_map<std::pair<const void*, int>, sim::Buffer*, PtrIntPairHash>
-      reduce_staging_;
-  /// Staging for the in-pair pre-combine of the hierarchical reduce-scatter,
-  /// cached per (datum, target * slots + combiner).
-  std::unordered_map<std::pair<const void*, int>, sim::Buffer*, PtrIntPairHash>
-      combine_staging_;
-
-  /// Steady-state plan cache: fingerprint → state variants of (immutable
-  /// plan, captured location state), LRU-bounded by fingerprint.
-  std::unordered_map<PlanFingerprint, CacheSlot, FingerprintHash> cache_;
-  std::list<PlanFingerprint> lru_; ///< front = most recently used
-  std::size_t plan_cache_capacity_ = 64;
+      staging_;
+  detail::PlanCache cache_;
   /// mutable: stats() refreshes the exec-pool counters on read.
   mutable SchedulerStats stats_;
-
-  /// Plan recycling: retired replay plans, returned by their deleter on the
-  /// caller's thread. Reused plans keep their wiring vectors' capacity, so
-  /// steady-state replays allocate nothing.
-  std::vector<std::unique_ptr<TaskPlan>> plan_free_;
   /// First exception raised while issuing commands; WaitAll rethrows it.
   std::exception_ptr issue_error_;
-
   std::unique_ptr<AccessSanitizer> sanitizer_; ///< null = disabled
   CopyFaultHook copy_fault_hook_;
-
-  // --- Fault tolerance state ------------------------------------------------
-  bool fault_tolerance_ = false;
-  FaultInjector injector_;
-  /// Slots still alive, ascending. All partitioning/segmentation indexes
-  /// SEGMENTS [0, live_count()) which map to physical slots through this
-  /// vector; per-device resources (streams, ordering maps, the
-  /// location monitor) stay physically indexed.
-  std::vector<int> live_;
-  std::vector<bool> dead_;
-  /// The last dispatched MAPS-kernel task, kept so a mid-task loss can
-  /// re-execute the victim's segment. Depth 1 suffices: host mirrors make
-  /// every older result host-resident already.
-  struct TaskLog {
-    bool valid = false;
-    std::shared_ptr<const PlanShape> shape;
-    BodyFactory factory;
-    std::vector<int> live; ///< live_ at dispatch (seg → slot map)
-  };
-  TaskLog last_task_;
-  /// Per-datum log of the task that produced a still-pending aggregation,
-  /// so a loss can re-run the victim's partial. Entries persist after the
-  /// aggregation resolves (guarded by the monitor's pending record) and are
-  /// overwritten by the next aggregating task on the datum.
-  struct AggLog {
-    const Datum* datum = nullptr;
-    std::shared_ptr<const PlanShape> shape;
-    BodyFactory factory; ///< null for routines (unrecoverable)
-    std::vector<int> live;
-    /// Host-content stamps of every input at dispatch: a repair is only
-    /// sound while the mirrors still hold the values the task consumed.
-    std::vector<std::pair<const void*, std::uint64_t>> input_stamps;
-  };
-  std::unordered_map<const void*, AggLog> agg_log_;
-  /// Monotonic per-datum stamp of host-buffer content changes (mirrors,
-  /// gathers, MarkHostModified, repairs). Cheap staleness guard for AggLog.
-  std::unordered_map<const void*, std::uint64_t> host_content_stamp_;
-
-  // --- Out-of-core state ----------------------------------------------------
-  std::size_t device_memory_budget_ = 0; ///< bytes per device; 0 = unlimited
-  bool spill_prefetch_ = true;
-  /// LRU recency per (datum key, slot): bumped once per task reference on
-  /// every live slot, read by enforce_budget's eviction ordering. Keys of
-  /// destroyed datums linger harmlessly (never dereferenced).
-  std::uint64_t touch_counter_ = 0;
-  std::unordered_map<std::pair<const void*, int>, std::uint64_t,
-                     PtrIntPairHash>
-      last_touch_;
-
-  bool force_host_staged_ = false;
-  bool transfer_planner_enabled_ = true;
-  bool overlap_enabled_ = true;
-  bool placement_enabled_ = false;
-  /// 4 MiB: small enough that a GEMM stripe pipelines through a fan-out tree
-  /// in ~16 pieces, large enough that per-copy latency stays negligible.
-  std::size_t copy_chunk_bytes_ = 4u << 20;
+  std::unique_ptr<detail::Recovery> recovery_; ///< null = fault tolerance off
+  detail::Residency residency_;
+  /// Planning settings a plan bakes in, all part of its fingerprint
+  /// (placement through the live_ order it picks).
+  struct Settings {
+    bool force_host_staged = false;
+    bool transfer_planner = true;
+    bool overlap = true;
+    bool placement = false;
+    /// 4 MiB: small enough that a GEMM stripe pipelines through a fan-out
+    /// tree in ~16 pieces, large enough that per-copy latency stays
+    /// negligible.
+    std::size_t copy_chunk_bytes = 4u << 20;
+  } settings_;
   TaskHandle next_task_ = 1;
 
   /// Parallel execution backend (declared last: the destructor body also

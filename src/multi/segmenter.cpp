@@ -295,9 +295,7 @@ std::vector<StripRange> compute_strips(const std::vector<PatternSpec>& specs,
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const PatternSpec& s = specs[i];
       const SegmentReq& req = reqs[i];
-      if (!s.is_input || !req.active ||
-          s.seg != Segmentation::PartitionAligned ||
-          (s.radius_low == 0 && s.radius_high == 0)) {
+      if (!s.halo_input() || !req.active) {
         continue;
       }
       const long lo = read_span_lo(s, w0);
@@ -342,8 +340,7 @@ StripShape strip_halo_blocks(const std::vector<PatternSpec>& specs,
   StripShape shape;
   const std::size_t span = rows_per_block_row == 0 ? 1 : rows_per_block_row;
   for (const PatternSpec& s : specs) {
-    if (!s.is_input || s.seg != Segmentation::PartitionAligned ||
-        (s.radius_low == 0 && s.radius_high == 0)) {
+    if (!s.halo_input()) {
       continue;
     }
     shape.any = true;

@@ -35,6 +35,8 @@
 #include <thread>
 #include <vector>
 
+#include "sim/node.hpp"
+
 namespace maps::multi {
 
 class ThreadPool {
@@ -122,5 +124,51 @@ private:
   std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> idle_waits_{0};
 };
+
+namespace detail {
+
+/// Worker-pool-backed sim::FunctionalExecutor. One fork-join Group per
+/// PHYSICAL node device holds that device's (at most one) pending kernel
+/// body; the event loop joins the device before deferring the next body, so
+/// same-device sweeps never overlap. Chunked sweeps running inside a body
+/// fork their block-row chunks onto the same pool — the pool's helping
+/// waits make the nested fork-join deadlock-free.
+class ExecBackend : public sim::FunctionalExecutor {
+public:
+  ExecBackend(unsigned parallelism, int device_count)
+      : pool_(parallelism), groups_(static_cast<std::size_t>(device_count)) {}
+
+  ThreadPool& pool() { return pool_; }
+
+  void run_kernel_body(int device, std::function<void()> body) override {
+    pool_.submit(groups_[static_cast<std::size_t>(device)], std::move(body));
+  }
+
+  void join_device(int device) override {
+    pool_.wait(groups_[static_cast<std::size_t>(device)]);
+  }
+
+  void join_all() override {
+    std::exception_ptr first;
+    for (auto& g : groups_) {
+      try {
+        pool_.wait(g);
+      } catch (...) {
+        if (!first) {
+          first = std::current_exception();
+        }
+      }
+    }
+    if (first) {
+      std::rethrow_exception(first);
+    }
+  }
+
+private:
+  ThreadPool pool_;
+  std::vector<ThreadPool::Group> groups_;
+};
+
+} // namespace detail
 
 } // namespace maps::multi

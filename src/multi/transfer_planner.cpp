@@ -496,4 +496,43 @@ TransferPlanner::symbolic_route(const sym::Family& family,
   return ops;
 }
 
+std::vector<SegmentLocationMonitor::CopyOp>
+TransferPlanner::chunk(std::vector<SegmentLocationMonitor::CopyOp> ops,
+                       int target_location, std::size_t row_bytes,
+                       std::size_t chunk_bytes, bool all,
+                       TransferStats& stats) const {
+  const std::size_t chunk_rows =
+      std::max<std::size_t>(1, chunk_bytes / row_bytes);
+  const int dst_node = topo_.cluster_node_of(endpoint(target_location).device);
+  const auto crosses = [&](const SegmentLocationMonitor::CopyOp& op) {
+    return topo_.cluster_node_of(endpoint(op.src_location).device) != dst_node;
+  };
+  const auto splits = [&](const SegmentLocationMonitor::CopyOp& op) {
+    return op.rows.size() > chunk_rows && (all || crosses(op));
+  };
+  if (std::none_of(ops.begin(), ops.end(), splits)) {
+    return ops;
+  }
+  std::vector<SegmentLocationMonitor::CopyOp> pieces;
+  pieces.reserve(ops.size());
+  for (const auto& op : ops) {
+    if (!splits(op)) {
+      pieces.push_back(op);
+      continue;
+    }
+    const std::uint32_t depth = static_cast<std::uint32_t>(
+        (op.rows.size() + chunk_rows - 1) / chunk_rows);
+    stats.max_pipeline_depth = std::max(stats.max_pipeline_depth, depth);
+    (crosses(op) ? stats.bytes_chunked_network
+                 : stats.bytes_chunked_intranode) += op.rows.size() * row_bytes;
+    for (std::size_t b = op.rows.begin; b < op.rows.end; b += chunk_rows) {
+      auto piece = op;
+      piece.rows = RowInterval{b, std::min(b + chunk_rows, op.rows.end)};
+      pieces.push_back(piece);
+    }
+    stats.copies_chunked += depth - 1;
+  }
+  return pieces;
+}
+
 } // namespace maps::multi

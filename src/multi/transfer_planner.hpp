@@ -189,6 +189,19 @@ public:
   route(const Datum* datum, int target_location, std::size_t row_bytes,
         std::vector<SegmentLocationMonitor::CopyOp> ops, TransferStats& stats);
 
+  /// Row-range chunking: splits each op of more than `chunk_bytes` into
+  /// row-range pieces so consumers with row-granular reads (interior and
+  /// boundary strips, forwarding copies in a fan-out tree) start as soon as
+  /// their piece lands; on clusters the pieces of one network crossing also
+  /// pipeline their D2H / NIC / H2D legs. `all` chunks every oversize op,
+  /// otherwise only network crossings. Purely structural — the pieces move
+  /// the same rows over the same link — so byte totals are unchanged; the
+  /// chunking counters accumulate into `stats`.
+  std::vector<SegmentLocationMonitor::CopyOp>
+  chunk(std::vector<SegmentLocationMonitor::CopyOp> ops, int target_location,
+        std::size_t row_bytes, std::size_t chunk_bytes, bool all,
+        TransferStats& stats) const;
+
   /// Classifies one planned transfer and adds its bytes to the matching
   /// counter of `stats`. Shared by the planner-on and planner-off paths so
   /// the byte attribution is identical in both.

@@ -151,6 +151,20 @@ TEST_P(PlanCacheDevicesTest, SteadyStateLoopHitsAndMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(DeviceCounts, PlanCacheDevicesTest,
                          ::testing::Values(1, 2, 3, 4));
 
+// The fingerprint encodes the live segment -> slot map exactly (its length,
+// then every slot), so a node wider than one 64-bit slot mask replays like
+// any other — with defined behaviour (the ASan/UBSan lane runs this).
+TEST(PlanCacheWideNodeTest, SixtySixDevicesReplay) {
+  const int devices = 66, iterations = 8;
+  sim::Node node = make_node(devices, sim::ExecMode::TimingOnly);
+  Scheduler sched(node);
+  (void)run_gol(sched, 32, 16 * devices, iterations, 3);
+  const SchedulerStats& st = sched.stats();
+  EXPECT_EQ(st.cache_hits + st.cache_misses,
+            static_cast<std::uint64_t>(iterations));
+  EXPECT_GE(st.cache_hits, static_cast<std::uint64_t>(iterations - 4));
+}
+
 // --- Replay is bit-identical with the cache force-disabled ------------------
 
 TEST(PlanCacheTest, SimulatedTimelineAndResultsIdenticalCacheOnVsOff) {

@@ -286,6 +286,52 @@ TEST(SchedulerTransferStatsTest, ForcedHostStagingIsAttributedAsStaged) {
   EXPECT_EQ(t.bytes_p2p_cross_bus, 0u);
 }
 
+// Forced host staging decides every device-to-device copy's link, so it
+// has its own bit in the plan-cache fingerprint: with the planner off (where
+// the planner bit reads the same either way), switching it on mid-chain must
+// rebuild rather than replay plans booked as peer transfers.
+TEST(SchedulerTransferStatsTest, ForcedHostStagingToggleNeverReplaysPeerPlans) {
+  const std::size_t n = 512, w = 16;
+  const auto measured = [&](bool force_from_start) {
+    sim::Node node(sim::homogeneous_node(sim::gtx980(), 4),
+                   sim::ExecMode::TimingOnly);
+    Scheduler sched(node);
+    sched.set_transfer_planner_enabled(false);
+    sched.set_force_host_staged(force_from_start);
+    std::vector<float> h(n * w, 0.0f);
+    Matrix<float> A(w, n, "A"), B(w, n, "B"), C(w, n, "C");
+    A.Bind(h.data());
+    B.Bind(h.data());
+    C.Bind(h.data());
+    sched.AnalyzeCall(Work{n}, Block2D<float>(A),
+                      StructuredInjective<float, 2>(B));
+    sched.AnalyzeCall(Work{n}, Block2DTransposed<float>(B),
+                      StructuredInjective<float, 2>(C));
+    const auto steps = [&] {
+      for (int i = 0; i < 3; ++i) {
+        sched.InvokeUnmodified(noop_routine, nullptr, Work{n},
+                               Block2D<float>(A),
+                               StructuredInjective<float, 2>(B));
+        sched.InvokeUnmodified(noop_routine, nullptr, Work{n},
+                               Block2DTransposed<float>(B),
+                               StructuredInjective<float, 2>(C));
+      }
+      sched.WaitAll();
+    };
+    steps();
+    sched.reset_stats();
+    sched.set_force_host_staged(true);
+    steps();
+    return sched.stats().transfers;
+  };
+  const TransferStats forced = measured(true);
+  const TransferStats toggled = measured(false);
+  EXPECT_GT(forced.bytes_host_staged, 0u);
+  EXPECT_EQ(forced.bytes_p2p_same_bus + forced.bytes_p2p_cross_bus, 0u);
+  EXPECT_EQ(toggled.bytes_host_staged, forced.bytes_host_staged);
+  EXPECT_EQ(toggled.bytes_p2p_same_bus + toggled.bytes_p2p_cross_bus, 0u);
+}
+
 TEST(SchedulerTransferStatsTest, PlannerOffKeepsMonitorSources) {
   const std::size_t n = 1024, w = 16;
   sim::Node node(sim::homogeneous_node(sim::gtx980(), 4),
