@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Compare freshly produced bench JSON against the committed BENCH_*.json.
 
+It also reads the Google-Benchmark JSON that the figure benches write with
+`--benchmark_out=FILE --benchmark_out_format=json`, committed under
+bench/reference/: rows match by position and name, and `real_time` (the
+simulated time) must match exactly.
+
 The simulator is deterministic, so simulated quantities (sim_ms, byte
 categories, copy/sub-kernel counts, cache hits) must reproduce the committed
 reference almost exactly; a drift beyond the tolerance means the change under
@@ -20,11 +25,13 @@ import re
 import sys
 
 # Host wall-clock measurements and their derivatives: machine-dependent,
-# excluded from the regression gate.
+# excluded from the regression gate. The figure benches write Google-Benchmark
+# JSON, whose `real_time` is the simulated time (exact) while `cpu_time` and
+# the run `context` (date, host, load) describe the machine.
 NOISY_KEY = re.compile(
     r"^(plan_us_per_task|wall_us_per_task|plan_time_us|replay_time_us|"
     r"planning_speedup|wall_ms|wall_speedup|monitor_us_per_task|"
-    r"route_us_per_task|plan_us_ratio)$"
+    r"route_us_per_task|plan_us_ratio|cpu_time|context)$"
 )
 
 
