@@ -190,16 +190,4 @@ std::size_t PlanCache::evict_to(std::size_t n) {
   return evicted;
 }
 
-std::shared_ptr<TaskPlan> PlanCache::acquire_plan() {
-  TaskPlan* raw = nullptr;
-  if (!free_plans_.empty()) {
-    raw = free_plans_.back().release();
-    free_plans_.pop_back();
-  } else {
-    raw = new TaskPlan();
-  }
-  return std::shared_ptr<TaskPlan>(
-      raw, [this](TaskPlan* p) { free_plans_.emplace_back(p); });
-}
-
 } // namespace maps::multi::detail

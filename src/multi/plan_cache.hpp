@@ -108,12 +108,6 @@ public:
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return slots_.size(); }
 
-  /// A TaskPlan for replay, recycled when one was retired: its deleter
-  /// returns it here, so steady-state replays reuse wiring vectors at full
-  /// capacity instead of allocating. Every reference must die before the
-  /// cache does.
-  std::shared_ptr<TaskPlan> acquire_plan();
-
 private:
   struct FingerprintHash {
     std::size_t operator()(const Fingerprint& fp) const {
@@ -133,7 +127,6 @@ private:
   std::unordered_map<Fingerprint, Slot, FingerprintHash> slots_;
   std::list<Fingerprint> lru_; ///< front = most recently used
   std::size_t capacity_;
-  std::vector<std::unique_ptr<TaskPlan>> free_plans_;
 };
 
 } // namespace maps::multi::detail

@@ -123,8 +123,7 @@ void Recovery::repair_structured(int victim, KillStage stage,
   // drains of a streamed victim killed after its windows ran. A streamed
   // victim killed at CopiesIssued never drained, although its plan already
   // recorded the host as the rows' resting place.
-  bool host_covers =
-      vdp.windows.empty() || stage != KillStage::CopiesIssued;
+  bool host_covers = !sh.streamed || stage != KillStage::CopiesIssued;
   for (std::size_t i = 0; host_covers && i < sh.specs.size(); ++i) {
     const PatternSpec& s = sh.specs[i];
     if (s.is_input) {

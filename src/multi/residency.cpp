@@ -278,9 +278,8 @@ std::size_t Residency::window_block_rows(const PlanShape& shape,
   return W;
 }
 
-void Residency::plan_windows(PlanShape& shape, DevicePlan& dp,
-                             DeviceWiring& dw, int seg, int slot,
-                             const std::vector<SegmentReq>& reqs,
+void Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
+                             int slot, const std::vector<SegmentReq>& reqs,
                              std::size_t persistent_bytes,
                              const char* label) const {
   const auto& specs = shape.specs;
@@ -445,6 +444,7 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp,
   }
 
   dp.windows.resize(nwindows);
+  dp.sub.resize(nwindows);
   // Per window: one refill per input region and one drain per output.
   dp.copies.reserve(dp.copies.size() + nwindows * specs.size());
   for (std::size_t p = 0; p < nwindows; ++p) {
@@ -454,11 +454,12 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp,
     const RowInterval wb = wblocks[p];
     const auto& wr = wreqs[p];
     const auto& bufs = wbufs[p % 2];
-    win.grid = dp.grid;
-    win.grid.block_row_offset = static_cast<unsigned>(wb.begin);
-    win.grid.block_rows = static_cast<unsigned>(wb.size());
-    win.stats = scale_launch_stats(dp.stats, static_cast<double>(wb.size()) /
-                                                 static_cast<double>(nblocks));
+    SubKernel& pass = dp.sub[p];
+    pass.grid = dp.grid;
+    pass.grid.block_row_offset = static_cast<unsigned>(wb.begin);
+    pass.grid.block_rows = static_cast<unsigned>(wb.size());
+    pass.stats = scale_launch_stats(dp.stats, static_cast<double>(wb.size()) /
+                                                  static_cast<double>(nblocks));
 
     // Refills: window inputs straight from the flushed host rows.
     win.refill_begin = static_cast<std::uint32_t>(dp.copies.size());
@@ -526,8 +527,6 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp,
     }
     win.drain_end = static_cast<std::uint32_t>(dp.copies.size());
   }
-  dw.copies.resize(dp.copies.size());
-  dw.window_events = node_.create_events(static_cast<int>(3 * nwindows));
 }
 
 } // namespace maps::multi::detail

@@ -86,10 +86,11 @@ public:
                                 const char* label) const;
   /// Plans segment `seg` on `slot` as W >= 1 row-window passes:
   /// persistent-operand fills, window size and every window's refills,
-  /// binding and drains. Allocates the ping-pong window temporaries into
-  /// `shape.window_temps`; the dispatch frees them.
-  void plan_windows(PlanShape& shape, DevicePlan& dp, DeviceWiring& dw,
-                    int seg, int slot, const std::vector<SegmentReq>& reqs,
+  /// binding and drains, as `dp.windows` and one launch each in `dp.sub`
+  /// (lower_windows orders them into commands). Allocates the ping-pong
+  /// window temporaries into `shape.window_temps`; the dispatch frees them.
+  void plan_windows(PlanShape& shape, DevicePlan& dp, int seg, int slot,
+                    const std::vector<SegmentReq>& reqs,
                     std::size_t persistent_bytes, const char* label) const;
 
 private:
