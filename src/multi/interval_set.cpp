@@ -245,10 +245,7 @@ void AccessIntervalMap::add_reader(const RowInterval& rows, int event) {
   const std::size_t at = static_cast<std::size_t>(first - readers_.begin());
   // Fast path: nothing overlaps — a plain insert of a fresh range.
   if (first == readers_.end() || first->iv.begin >= rows.end) {
-    Readers r;
-    r.iv = rows;
-    r.events.push_back(event);
-    readers_.insert(first, std::move(r));
+    readers_.insert(first, Readers{rows, EventSet(event)});
     coalesce_readers_around(at == 0 ? 0 : at - 1, at + 1);
     return;
   }
@@ -258,7 +255,7 @@ void AccessIntervalMap::add_reader(const RowInterval& rows, int event) {
                             std::next(first)->iv.begin >= rows.end)) {
     if (std::find(first->events.begin(), first->events.end(), event) ==
         first->events.end()) {
-      first->events.push_back(event);
+      first->events.insert(event);
       coalesce_readers_around(at == 0 ? 0 : at - 1, at + 1);
     }
     return;
@@ -271,7 +268,8 @@ void AccessIntervalMap::add_reader(const RowInterval& rows, int event) {
   std::size_t pos = rows.begin;
   while (last != readers_.end() && last->iv.begin < rows.end) {
     if (pos < last->iv.begin) {
-      repl.push_back(Readers{RowInterval{pos, last->iv.begin}, {event}});
+      repl.push_back(
+          Readers{RowInterval{pos, last->iv.begin}, EventSet(event)});
     }
     const RowInterval ov = intersect(last->iv, rows);
     if (last->iv.begin < ov.begin) {
@@ -286,10 +284,7 @@ void AccessIntervalMap::add_reader(const RowInterval& rows, int event) {
     } else {
       mid.events = std::move(last->events);
     }
-    if (std::find(mid.events.begin(), mid.events.end(), event) ==
-        mid.events.end()) {
-      mid.events.push_back(event);
-    }
+    mid.events.insert(event);
     repl.push_back(std::move(mid));
     if (split_right) {
       repl.push_back(
@@ -299,7 +294,7 @@ void AccessIntervalMap::add_reader(const RowInterval& rows, int event) {
     ++last;
   }
   if (pos < rows.end) {
-    repl.push_back(Readers{RowInterval{pos, rows.end}, {event}});
+    repl.push_back(Readers{RowInterval{pos, rows.end}, EventSet(event)});
   }
   auto at_it = readers_.erase(first, last);
   readers_.insert(at_it, std::make_move_iterator(repl.begin()),

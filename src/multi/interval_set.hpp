@@ -17,7 +17,9 @@
 // the same bands keep the maps at their natural, bounded size.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace maps::multi {
@@ -122,9 +124,45 @@ private:
     RowInterval iv;
     int event = 0;
   };
+  /// A reader entry's distinct events, in insertion order. Almost every
+  /// entry holds one or two (a strip's launch, a neighbour's halo pull), so
+  /// those live inline and only a larger set spills to the heap.
+  class EventSet {
+  public:
+    EventSet() = default;
+    explicit EventSet(int event) { insert(event); }
+    const int* begin() const {
+      return size_ <= kInline ? inline_ : overflow_.data();
+    }
+    const int* end() const { return begin() + size_; }
+    /// Adds `event` unless the set holds it already.
+    void insert(int event) {
+      if (std::find(begin(), end(), event) != end()) {
+        return;
+      }
+      if (size_ < kInline) {
+        inline_[size_] = event;
+      } else {
+        if (size_ == kInline) {
+          overflow_.assign(inline_, inline_ + kInline);
+        }
+        overflow_.push_back(event);
+      }
+      ++size_;
+    }
+    friend bool operator==(const EventSet& a, const EventSet& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    static constexpr std::uint32_t kInline = 2;
+    std::uint32_t size_ = 0;
+    int inline_[kInline] = {};
+    std::vector<int> overflow_; ///< every event, once there are > kInline
+  };
   struct Readers {
     RowInterval iv;
-    std::vector<int> events;
+    EventSet events;
   };
   void coalesce_writers_around(std::size_t lo, std::size_t hi);
   void coalesce_readers_around(std::size_t lo, std::size_t hi);

@@ -143,7 +143,8 @@ struct SubKernel {
   maps::GridContext grid;
   bool boundary = false;
   sim::LaunchStats stats;
-  /// In-core: parallel to PlanShape::specs. Empty for a window pass.
+  /// Parallel to PlanShape::specs. A window pass fills only read_global:
+  /// the rows its refills bring into the window temporaries.
   std::vector<StripSpan> spans;
   std::uint32_t done = 0; ///< plan event recorded after the launch
 };
@@ -219,11 +220,10 @@ struct PlanShape {
   /// Strips of split (S >= 2) devices.
   std::uint32_t interior_launches = 0;
   std::uint32_t boundary_launches = 0;
-  /// Out-of-core: the devices run row-window passes, dispatched
-  /// synchronously and never cached; the dispatch frees `window_temps`
-  /// once the node drains.
+  /// Out-of-core: the devices run row-window passes through pooled window
+  /// temporaries (Residency), and each dispatch ends by draining the node.
+  /// Cached and replayed like an in-core plan.
   bool streamed = false;
-  std::vector<sim::Buffer*> window_temps;
   /// Plan events and wait sets the command lists name.
   std::uint32_t events = 0;
   std::uint32_t wait_sets = 0;

@@ -115,7 +115,7 @@ void Residency::require_fit(int slot, std::size_t after) const {
 std::vector<const Datum*>
 Residency::stream_victims(int slot, const std::vector<PatternSpec>& specs,
                           const std::vector<SegmentReq>& reqs,
-                          std::size_t& pinned_bytes) const {
+                          std::size_t& pinned_bytes, bool& drop_pool) const {
   std::vector<const void*> keep;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (reqs[i].active && reqs[i].whole &&
@@ -124,16 +124,22 @@ Residency::stream_victims(int slot, const std::vector<PatternSpec>& specs,
     }
   }
   std::vector<const Datum*> out;
+  std::size_t staying = 0;
   for (const auto& r : analyzer_.resident(slot)) {
+    const std::size_t bytes = r.alloc->buffer->size();
     if (std::find(keep.begin(), keep.end(), r.datum->key()) != keep.end()) {
+      staying += bytes;
       continue;
     }
     if (pinned(r.datum)) {
-      pinned_bytes += r.alloc->buffer->size();
+      pinned_bytes += bytes;
+      staying += bytes;
       continue;
     }
     out.push_back(r.datum);
   }
+  // A replay allocates nothing, so the pool must fit beside what stays.
+  drop_pool = !pool_fits(slot, staying);
   return out;
 }
 
@@ -278,10 +284,10 @@ std::size_t Residency::window_block_rows(const PlanShape& shape,
   return W;
 }
 
-void Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
+bool Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
                              int slot, const std::vector<SegmentReq>& reqs,
                              std::size_t persistent_bytes,
-                             const char* label) const {
+                             const char* label) {
   const auto& specs = shape.specs;
   const int loc = SegmentLocationMonitor::loc(slot);
   const sim::Endpoint host = sim::Endpoint::host();
@@ -418,20 +424,28 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
 
   // Ping-pong temporaries: window p streams through set p % 2, so the
   // refill of window p can overlap the kernel of window p - 1 under
-  // prefetch. Transient residency is deliberately NOT recorded in the
-  // location monitor — the buffers die with the dispatch.
+  // prefetch. Their residency is deliberately NOT recorded in the location
+  // monitor: every window refills what it reads, so no row outlives it.
   std::vector<sim::Buffer*> wbufs[2] = {
       std::vector<sim::Buffer*>(specs.size(), nullptr),
       std::vector<sim::Buffer*>(specs.size(), nullptr)};
-  for (int set = 0; set < (nwindows < 2 ? 1 : 2); ++set) {
+  const int sets = nwindows < 2 ? 1 : 2;
+  std::vector<std::size_t> temp_bytes;
+  for (int set = 0; set < sets; ++set) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (max_rows[i] == 0) {
-        continue;
+      if (max_rows[i] != 0) {
+        temp_bytes.push_back(max_rows[i] * specs[i].datum->row_bytes());
       }
-      wbufs[set][i] = node_.malloc_device(
-          devices_[static_cast<std::size_t>(slot)],
-          max_rows[i] * specs[i].datum->row_bytes());
-      shape.window_temps.push_back(wbufs[set][i]);
+    }
+  }
+  std::vector<sim::Buffer*> temps;
+  const bool released = bind_temps(slot, temp_bytes, temps);
+  std::size_t next = 0;
+  for (int set = 0; set < sets; ++set) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (max_rows[i] != 0) {
+        wbufs[set][i] = temps[next++];
+      }
     }
   }
   if (nwindows < 2) {
@@ -461,8 +475,10 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
     pass.stats = scale_launch_stats(dp.stats, static_cast<double>(wb.size()) /
                                                   static_cast<double>(nblocks));
 
-    // Refills: window inputs straight from the flushed host rows.
+    // Refills: window inputs straight from the flushed host rows. The
+    // pass's spans record the rows each windowed input reads.
     win.refill_begin = static_cast<std::uint32_t>(dp.copies.size());
+    pass.spans.resize(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (reqs[i].whole || !wr[i].active) {
         continue;
@@ -482,6 +498,7 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
           c.rows = region.global;
           c.src_host = d->host_row(region.global.begin);
           c.bytes = region.global.size() * row_bytes;
+          pass.spans[i].read_global.push_back(region.global);
         }
         add_copy(c);
       }
@@ -527,6 +544,70 @@ void Residency::plan_windows(PlanShape& shape, DevicePlan& dp, int seg,
     }
     win.drain_end = static_cast<std::uint32_t>(dp.copies.size());
   }
+  return released;
+}
+
+std::size_t Residency::pool_bytes(int slot) const {
+  std::size_t bytes = 0;
+  for (const PooledTemp& t : pool_) {
+    bytes += t.slot == slot ? t.bytes : 0;
+  }
+  return bytes;
+}
+
+bool Residency::bind_temps(int slot, const std::vector<std::size_t>& bytes,
+                           std::vector<sim::Buffer*>& out) {
+  out.assign(bytes.size(), nullptr);
+  std::size_t fresh = 0;
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    const auto it = std::find_if(pool_.begin(), pool_.end(), [&](const auto& t) {
+      return t.slot == slot && t.bytes == bytes[k] && !t.taken;
+    });
+    if (it == pool_.end()) {
+      fresh += bytes[k];
+    } else {
+      it->taken = true;
+      out[k] = it->buffer;
+    }
+  }
+  // window_block_rows sized the windows so the residents and this plan's
+  // temporaries fit; other plans' pooled buffers stay only beside them.
+  std::size_t used = fresh + pool_bytes(slot);
+  for (const auto& r : analyzer_.resident(slot)) {
+    used += r.alloc->buffer->size();
+  }
+  const std::size_t before = pool_.size();
+  if (used > budget_) {
+    std::erase_if(pool_, [&](const PooledTemp& t) {
+      if (t.slot != slot || t.taken) {
+        return false;
+      }
+      node_.free_device(t.buffer);
+      return true;
+    });
+  }
+  const bool released = pool_.size() != before;
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    if (out[k] == nullptr) {
+      out[k] = node_.malloc_device(devices_[static_cast<std::size_t>(slot)],
+                                   bytes[k]);
+      pool_.push_back({slot, bytes[k], out[k], false});
+    }
+  }
+  for (PooledTemp& t : pool_) {
+    t.taken = false;
+  }
+  return released;
+}
+
+void Residency::release_pool(int slot) {
+  std::erase_if(pool_, [&](const PooledTemp& t) {
+    if (slot >= 0 && t.slot != slot) {
+      return false;
+    }
+    node_.free_device(t.buffer);
+    return true;
+  });
 }
 
 } // namespace maps::multi::detail

@@ -1,8 +1,9 @@
 // Out-of-core residency policy (DESIGN.md §5.16, §5.17): which allocations
 // stay resident under a per-device memory budget, which get evicted, and how
-// a task too large for the budget streams as row-window passes. Residency
-// decides; the scheduler keeps the mechanism (write back, free the buffer,
-// reset the location's ordering state).
+// a task too large for the budget streams as row-window passes through
+// pooled window temporaries. Residency decides; the scheduler keeps the
+// mechanism (write back, free the buffer, reset the location's ordering
+// state, drop the cached plans).
 #pragma once
 
 #include <cstddef>
@@ -60,18 +61,28 @@ public:
   /// task's datums fit; `after` receives the slot's projected bytes once
   /// they are gone. Never the task's own datums, pending aggregation
   /// partials (valid nowhere else) or unbound datums (nowhere to spill).
+  /// Pooled window temporaries are not counted: they are the first victims,
+  /// released whenever there are resident victims or !pool_fits(slot, after).
   std::vector<const Datum*> victims(int slot,
                                     const std::vector<PatternSpec>& specs,
                                     std::size_t& after) const;
+  /// Whether `slot`'s pooled window temporaries, if any, fit beside
+  /// `resident_bytes`.
+  bool pool_fits(int slot, std::size_t resident_bytes) const {
+    const std::size_t pooled = pool_bytes(slot);
+    return pooled == 0 || resident_bytes + pooled <= budget_;
+  }
   /// Throws OutOfCoreError when `after` bytes still exceed the budget.
   void require_fit(int slot, std::size_t after) const;
   /// Residents a streamed task clears from `slot`: all but its
   /// whole-requirement datums that still fit their buffers. `pinned`
-  /// accumulates the bytes of the residents that cannot go.
+  /// accumulates the bytes of the residents that cannot go; `drop_pool` is
+  /// set when the slot's pooled window temporaries no longer fit beside the
+  /// residents that stay.
   std::vector<const Datum*>
   stream_victims(int slot, const std::vector<PatternSpec>& specs,
-                 const std::vector<SegmentReq>& reqs,
-                 std::size_t& pinned) const;
+                 const std::vector<SegmentReq>& reqs, std::size_t& pinned,
+                 bool& drop_pool) const;
   /// Throws OutOfCoreError, naming the cause, for task shapes the window
   /// decomposition cannot stream.
   void check_streamable(const std::vector<PatternSpec>& specs,
@@ -87,16 +98,40 @@ public:
   /// Plans segment `seg` on `slot` as W >= 1 row-window passes:
   /// persistent-operand fills, window size and every window's refills,
   /// binding and drains, as `dp.windows` and one launch each in `dp.sub`
-  /// (lower_windows orders them into commands). Allocates the ping-pong
-  /// window temporaries into `shape.window_temps`; the dispatch frees them.
-  void plan_windows(PlanShape& shape, DevicePlan& dp, int seg, int slot,
+  /// (lower_windows orders them into commands). The ping-pong window
+  /// temporaries come from the slot's pool (bind_temps). Runs on a drained
+  /// node (the scheduler's prepare_stream); returns true when it released
+  /// pooled buffers, which cached plans may still bind.
+  bool plan_windows(PlanShape& shape, DevicePlan& dp, int seg, int slot,
                     const std::vector<SegmentReq>& reqs,
-                    std::size_t persistent_bytes, const char* label) const;
+                    std::size_t persistent_bytes, const char* label);
+
+  /// Frees `slot`'s pooled window temporaries (every slot's for -1). The
+  /// caller drains the node first and drops the cached plans that bind
+  /// them.
+  void release_pool(int slot = -1);
 
 private:
   bool pinned(const Datum* datum) const {
     return monitor_.pending_aggregation(datum) != nullptr || !datum->bound();
   }
+  std::size_t pool_bytes(int slot) const;
+  /// One buffer per entry of `bytes` from `slot`'s pool: a pooled buffer of
+  /// that size where one is free, else a new allocation. Pooled buffers no
+  /// entry took are released first when they would not fit beside the slot's
+  /// residents and the new allocations; returns true when any were.
+  bool bind_temps(int slot, const std::vector<std::size_t>& bytes,
+                  std::vector<sim::Buffer*>& out);
+
+  /// One window temporary. A streamed plan binds it for as long as the plan
+  /// is cached; every streamed dispatch ends with the node drained, so the
+  /// plans that share it never overlap in flight.
+  struct PooledTemp {
+    int slot = 0;
+    std::size_t bytes = 0;
+    sim::Buffer* buffer = nullptr;
+    bool taken = false; ///< bound by the bind_temps call in progress
+  };
 
   sim::Node& node_;
   const std::vector<int>& devices_;
@@ -110,6 +145,7 @@ private:
   std::unordered_map<std::pair<const void*, int>, std::uint64_t,
                      PtrIntPairHash>
       last_touch_;
+  std::vector<PooledTemp> pool_;
 };
 
 } // namespace detail

@@ -246,6 +246,18 @@ void AccessSanitizer::report_missing_halo(const Datum* datum, int location,
       "planned Wrap/Clamp boundary copy is missing or was dropped)");
 }
 
+void AccessSanitizer::report_unrefilled_window(const Datum* datum,
+                                               int location,
+                                               std::size_t window,
+                                               const RowInterval& rows) {
+  throw SanitizerError(
+      "access sanitizer: " + context() + ": " + location_name(location) +
+      " window pass " + std::to_string(window) + " reads datum '" +
+      datum->name() + "' rows " + rows_str(rows) +
+      " that none of its refills brought in (a planned window refill is "
+      "missing or was dropped)");
+}
+
 void AccessSanitizer::report_ungated_strip(const Datum* datum, int location,
                                            const RowInterval& strip_rows,
                                            const RowInterval& copy_rows) {
@@ -395,7 +407,7 @@ void AccessSanitizer::on_dispatch(const detail::TaskPlan& plan) {
   // a broken replay identically.
   for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
     const DevicePlan& dp = sh.devices[slot];
-    if (!dp.active) {
+    if (!dp.active || !dp.windows.empty()) {
       continue;
     }
     const int loc = static_cast<int>(slot) + 1;
@@ -423,6 +435,35 @@ void AccessSanitizer::on_dispatch(const detail::TaskPlan& plan) {
         }
       }
       gate = cmd + 1;
+    }
+  }
+
+  // 1c. A streamed window pass reads its windowed inputs from pooled
+  // temporaries that still hold whatever an earlier window or task left
+  // there, so each row it reads must come from one of its own refills.
+  for (std::size_t slot = 0; slot < sh.devices.size(); ++slot) {
+    const DevicePlan& dp = sh.devices[slot];
+    for (std::size_t p = 0; dp.active && p < dp.windows.size(); ++p) {
+      const WindowPass& win = dp.windows[p];
+      for (std::size_t i = 0; i < dp.sub[p].spans.size(); ++i) {
+        IntervalSet refilled;
+        for (std::uint32_t ci = win.refill_begin; ci < win.drain_begin; ++ci) {
+          const PlannedCopy& c = dp.copies[ci];
+          if (static_cast<std::size_t>(c.pattern_index) == i &&
+              !c.zero_fill &&
+              std::find(plan.dropped.begin(), plan.dropped.end(),
+                        std::pair(static_cast<int>(slot), ci)) ==
+                  plan.dropped.end()) {
+            refilled.add(c.rows);
+          }
+        }
+        for (const RowInterval& iv : dp.sub[p].spans[i].read_global) {
+          for (const RowInterval& miss : refilled.missing_from(iv)) {
+            report_unrefilled_window(sh.specs[i].datum,
+                                     static_cast<int>(slot) + 1, p, miss);
+          }
+        }
+      }
     }
   }
 

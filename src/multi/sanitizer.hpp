@@ -125,6 +125,11 @@ public:
   [[noreturn]] void report_ungated_strip(const Datum* datum, int location,
                                          const RowInterval& strip_rows,
                                          const RowInterval& copy_rows);
+  /// Reports a streamed window pass reading rows that none of its own
+  /// refills brought into its (pooled, reused) window temporaries.
+  [[noreturn]] void report_unrefilled_window(const Datum* datum, int location,
+                                             std::size_t window,
+                                             const RowInterval& rows);
   /// Kernel output: `rows` advance to a fresh version held only by `writer`.
   void on_write(const Datum* datum, int writer, const RowInterval& rows);
   /// Reductive/unstructured output: every replica becomes a partial copy; the

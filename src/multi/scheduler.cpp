@@ -78,6 +78,8 @@ Scheduler::~Scheduler() {
     node_.set_functional_executor(nullptr);
     exec_backend_.reset();
   }
+  // Idle: every streamed dispatch ends with the node drained.
+  residency_.release_pool();
 }
 
 void Scheduler::set_exec_threads(unsigned n) {
@@ -477,11 +479,11 @@ TaskPlan& Scheduler::plan_task(std::vector<PatternSpec> specs,
   // segment -> slot order is part of the plan's shape identity.
   apply_placement(specs);
 
-  // Out-of-core residency (DESIGN.md §5.16), decided before the cache
-  // lookup: a replayed plan bakes in the residency it was built under, and
-  // any eviction here clears the cache, so the subsequent miss rebuilds with
-  // the refill copies planned. A task whose own working set exceeds the
-  // budget streams; otherwise colder residents make room for it.
+  // Out-of-core residency (DESIGN.md §5.16), prepared before the cache
+  // lookup: a plan bakes in the residency it was built under, and a wave
+  // that frees something clears the cache, so the subsequent miss rebuilds
+  // with the refill copies planned. A task whose own working set exceeds
+  // the budget streams; otherwise colder residents make room for it.
   bool streamed = false;
   std::vector<std::vector<SegmentReq>> reqs;
   if (residency_.budget() > 0) {
@@ -490,36 +492,41 @@ TaskPlan& Scheduler::plan_task(std::vector<PatternSpec> specs,
     reqs = record_requirements(
         specs, derive_partition(specs, work, slots_eff), slots_eff);
     streamed = residency_.must_stream(specs, reqs, live_);
-    if (!streamed) {
+    if (streamed) {
+      prepare_stream(specs, reqs, label);
+    } else {
       enforce_budget(specs, slots_eff);
     }
   }
 
-  if (streamed || cache_.capacity() == 0 || !PlanCache::cacheable(specs)) {
+  if (cache_.capacity() == 0 || !PlanCache::cacheable(specs)) {
     const auto t0 = std::chrono::steady_clock::now();
     TaskPlan& plan = build_plan(std::move(specs), work, hints, label,
                                 splittable, streamed, std::move(reqs));
-    // Streamed plans are counted by spill.streamed_tasks, not as plan
-    // builds: a budgeted chain that streams every task is in steady state.
-    if (!streamed) {
-      stats_.plan_time_us += elapsed_us(t0);
-      ++stats_.plans_built;
-      stats_.uncacheable_tasks += cache_.capacity() > 0 ? 1 : 0;
-    }
+    stats_.plan_time_us += elapsed_us(t0);
+    ++stats_.plans_built;
+    stats_.uncacheable_tasks += cache_.capacity() > 0 ? 1 : 0;
     return plan;
   }
 
   // Every setting a build bakes into the plan: routing (planner on/off and
   // forced host staging each decide links and byte classes), the overlap
   // split and chunking, and the budget that decided which residents a build
-  // evicted.
-  const std::uint64_t config[] = {
-      static_cast<std::uint64_t>(slots()),
-      (planner_active() ? 1u : 0u) | (settings_.force_host_staged ? 2u : 0u),
-      (settings_.overlap ? 2u : 0u) | (splittable ? 1u : 0u),
-      settings_.copy_chunk_bytes, residency_.budget()};
+  // evicted. A streamed plan also bakes in its prefetch gating and, through
+  // each segment's window size, the bytes pinned beside its windows.
+  const bool prefetch = streamed && residency_.prefetch();
+  config_.assign(
+      {static_cast<std::uint64_t>(slots()),
+       (planner_active() ? 1u : 0u) | (settings_.force_host_staged ? 2u : 0u) |
+           (streamed ? 4u : 0u) | (prefetch ? 8u : 0u),
+       (settings_.overlap ? 2u : 0u) | (splittable ? 1u : 0u),
+       settings_.copy_chunk_bytes, residency_.budget()});
+  if (streamed) {
+    config_.insert(config_.end(), stream_pinned_.begin(),
+                   stream_pinned_.end());
+  }
   PlanCache::Fingerprint fp =
-      PlanCache::fingerprint(config, live_, specs, work, hints, label);
+      PlanCache::fingerprint(config_, live_, specs, work, hints, label);
   bool known = false;
   if (const PlanCache::Entry* hit = cache_.lookup(fp, monitor_, known)) {
     // Replay: the cached shape is immutable and shared, so only the wiring
@@ -547,7 +554,7 @@ TaskPlan& Scheduler::plan_task(std::vector<PatternSpec> specs,
   entry.captures = PlanCache::capture(specs, monitor_);
   const auto t0 = std::chrono::steady_clock::now();
   TaskPlan& plan = build_plan(std::move(specs), work, hints, label,
-                              splittable, /*streamed=*/false, std::move(reqs));
+                              splittable, streamed, std::move(reqs));
   stats_.plan_time_us += elapsed_us(t0);
   ++stats_.plans_built;
   entry.shape = plan.shape;
@@ -639,38 +646,8 @@ TaskPlan& Scheduler::build_plan(std::vector<PatternSpec> specs,
     reqs = record_requirements(shape.specs, shape.partition, slots_eff);
   }
 
-  // Residents a streamed device cannot evict, per segment.
-  std::vector<std::size_t> unevictable(static_cast<std::size_t>(slots_eff),
-                                       0);
   if (streamed) {
-    residency_.check_streamable(shape.specs, reqs, label);
     ++shape.spill.streamed_tasks;
-    // Streamed plans run against a drained node: the passes below evict.
-    invalidate_plans();
-    // Make the host authoritative for every input: windows read host rows
-    // directly, and the flush itself is spill traffic.
-    std::vector<const void*> flushed;
-    for (const auto& s : shape.specs) {
-      if (!s.is_input || std::find(flushed.begin(), flushed.end(),
-                                   s.datum->key()) != flushed.end()) {
-        continue;
-      }
-      flushed.push_back(s.datum->key());
-      flush_datum_to_host(s.datum);
-    }
-    node_.synchronize();
-    // Clear residency on every active slot: windowed datums stream through
-    // transient buffers, and colder residents make room for the persistent
-    // set. Dirty rows were flushed above, so these evictions write back
-    // nothing for this task's own inputs.
-    for (int seg = 0; seg < slots_eff; ++seg) {
-      const int slot = live_[static_cast<std::size_t>(seg)];
-      for (const Datum* d : residency_.stream_victims(
-               slot, shape.specs, reqs[static_cast<std::size_t>(seg)],
-               unevictable[static_cast<std::size_t>(seg)])) {
-        spill_allocation(d, slot);
-      }
-    }
   } else {
     // A post-loss repartition widens survivor segments, so requirements can
     // legitimately outgrow allocations made under the old live set. With
@@ -750,15 +727,14 @@ TaskPlan& Scheduler::build_plan(std::vector<PatternSpec> specs,
     dp.stats = task_launch_stats(shape.specs, shape.partition, seg, hints,
                                  label);
     if (streamed) {
-      residency_.plan_windows(shape, dp, seg, slot, slot_reqs,
-                              unevictable[static_cast<std::size_t>(seg)],
-                              label);
-      lower_windows(shape, dp, residency_.prefetch());
-      for (const PlannedCopy& c : dp.copies) {
-        if (c.dst_host != nullptr) { // a drain: the host rows change
-          host_written(c.datum);
-        }
+      if (residency_.plan_windows(shape, dp, seg, slot, slot_reqs,
+                                  stream_pinned_[static_cast<std::size_t>(seg)],
+                                  label)) {
+        // Pooled temporaries were released (the node is drained since
+        // prepare_stream): drop the cached plans that bound them.
+        invalidate_plans();
       }
+      lower_windows(shape, dp, residency_.prefetch());
       continue;
     }
 
@@ -869,7 +845,8 @@ void Scheduler::launch_binding(
     node_.launch(stream, stats, std::move(body));
     return;
   }
-  RoutineArgs args;
+  // Filled in place: the vectors keep their capacity from launch to launch.
+  RoutineArgs& args = routine_args_;
   args.node = &node_;
   args.device_idx = slot;
   args.sim_device = devices_[static_cast<std::size_t>(slot)];
@@ -878,20 +855,23 @@ void Scheduler::launch_binding(
   args.parameters.resize(b.views.size());
   args.container_segments.resize(b.views.size());
   for (std::size_t i = 0; i < b.views.size(); ++i) {
+    RoutineParam& param = args.parameters[i];
+    Segment& seg = args.container_segments[i];
     if (b.buffers[i] == nullptr) {
+      param = RoutineParam{};
+      seg.global_row_begin = seg.global_row_end = 0;
+      seg.m_dimensions.clear();
       continue;
     }
     const DeviceView& view = b.views[i];
-    RoutineParam& param = args.parameters[i];
     param.buffer = b.buffers[i];
     param.byte_offset = static_cast<std::size_t>(
                             static_cast<long>(view.core_begin) - view.origin) *
                         view.pitch;
     param.view = view;
-    Segment& seg = args.container_segments[i];
     seg.global_row_begin = view.core_begin;
     seg.global_row_end = view.core_end;
-    seg.m_dimensions = dims[i];
+    seg.m_dimensions.assign(dims[i].begin(), dims[i].end());
     seg.m_dimensions[0] = view.core_end - view.core_begin;
   }
   args.constants = consts;
@@ -1006,6 +986,7 @@ void Scheduler::set_device_memory_budget(std::size_t bytes) {
     // new policy is about to evict.
     invalidate_plans();
   }
+  residency_.release_pool(); // window temporaries sized for the old budget
   residency_.set_budget(bytes);
 }
 
@@ -1021,14 +1002,62 @@ void Scheduler::enforce_budget(const std::vector<PatternSpec>& specs,
     const int slot = live_[static_cast<std::size_t>(seg)];
     std::size_t after = 0;
     const auto victims = residency_.victims(slot, specs, after);
-    if (!victims.empty() && !quiesced) {
+    // Pooled window temporaries hold no data: they go first.
+    const bool drop_pool =
+        !victims.empty() || !residency_.pool_fits(slot, after);
+    if (drop_pool && !quiesced) {
       invalidate_plans(); // once per wave of evictions
       quiesced = true;
+    }
+    if (drop_pool) {
+      residency_.release_pool(slot);
     }
     for (const Datum* d : victims) {
       spill_allocation(d, slot);
     }
     residency_.require_fit(slot, after);
+  }
+}
+
+void Scheduler::prepare_stream(
+    const std::vector<PatternSpec>& specs,
+    const std::vector<std::vector<SegmentReq>>& reqs, const char* label) {
+  residency_.check_streamable(specs, reqs, label);
+  // Windows read host rows directly: drain, then make the host
+  // authoritative for every input (the flush itself is spill traffic).
+  node_.synchronize();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto same_input = [&](const PatternSpec& s) {
+      return s.is_input && s.datum->key() == specs[i].datum->key();
+    };
+    if (specs[i].is_input &&
+        std::none_of(specs.begin(), specs.begin() + static_cast<long>(i),
+                     same_input)) {
+      flush_datum_to_host(specs[i].datum);
+    }
+  }
+  node_.synchronize();
+  // Clear residency on every active slot: windowed datums stream through
+  // pooled temporaries, and colder residents make room for the persistent
+  // set. Dirty rows were flushed above, so these evictions write back
+  // nothing for this task's own inputs.
+  stream_pinned_.assign(reqs.size(), 0);
+  bool quiesced = false;
+  for (std::size_t seg = 0; seg < reqs.size(); ++seg) {
+    const int slot = live_[seg];
+    bool drop_pool = false;
+    const auto victims = residency_.stream_victims(
+        slot, specs, reqs[seg], stream_pinned_[seg], drop_pool);
+    if ((drop_pool || !victims.empty()) && !quiesced) {
+      invalidate_plans(); // once per wave that frees something
+      quiesced = true;
+    }
+    if (drop_pool) {
+      residency_.release_pool(slot);
+    }
+    for (const Datum* d : victims) {
+      spill_allocation(d, slot);
+    }
   }
 }
 
@@ -1324,6 +1353,7 @@ void Scheduler::recover_device(int victim, KillStage stage) {
     node_.free_device(buf);
   }
   staging_.clear();
+  residency_.release_pool();
   ++stats_.recovery.devices_lost;
   recovery_->repair(victim, stage, live_, sanitizer_.get());
   stats_.recovery.recovery_sim_us += (node_.now_ms() - t0_ms) * 1000.0;
@@ -1345,6 +1375,13 @@ TaskHandle Scheduler::dispatch(TaskPlan& plan,
   int victim = -1;
   KillStage stage = KillStage::CopiesIssued;
   if (recovery_ != nullptr) {
+    for (const DevicePlan& dp : sh.devices) {
+      for (std::size_t i = 0; sh.streamed && i < dp.copies.size(); ++i) {
+        if (dp.copies[i].dst_host != nullptr) { // a drain: host rows change
+          host_written(dp.copies[i].datum);
+        }
+      }
+    }
     recovery_->record_task(plan.shape, factory, live_);
     if (factory) {
       victim = recovery_->choose_victim(sh, plan.handle, live_, stage);
@@ -1370,12 +1407,10 @@ TaskHandle Scheduler::dispatch(TaskPlan& plan,
   }
   if (sh.streamed) {
     // A failed issue left some window unrecorded: report it, not the drain's
-    // deadlock.
+    // deadlock. The drain advances host time to the task's completion and
+    // leaves the pooled window temporaries idle for the next streamed task.
     rethrow_issue_error();
     node_.synchronize();
-    for (sim::Buffer* buf : sh.window_temps) {
-      node_.free_device(buf);
-    }
   }
   if (recovery_ != nullptr) {
     // The victim's outputs die with it: for CopiesIssued they were never

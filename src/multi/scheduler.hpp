@@ -75,8 +75,8 @@ inline constexpr bool is_constant_v = is_constant<std::decay_t<A>>::value;
 /// host wall-clock (std::chrono), NOT simulated time: the cache changes how
 /// much work the host does per Invoke, never what the simulator computes.
 struct SchedulerStats {
-  /// Full Algorithm-1 planning passes of in-core tasks (streamed tasks are
-  /// counted by spill.streamed_tasks).
+  /// Full Algorithm-1 planning passes, in-core and streamed alike (a
+  /// streamed plan is cached and replayed like an in-core one).
   std::uint64_t plans_built = 0;
   std::uint64_t cache_hits = 0;     ///< Invokes served by replay.
   std::uint64_t cache_misses = 0;   ///< Cacheable Invokes that had to build.
@@ -486,15 +486,18 @@ private:
   /// Segments a task spans: 1 for single-device work, else every live slot.
   int slots_for(const std::vector<PatternSpec>& specs, const Work* work) const;
   /// Plans one task from the plan cache or through build_plan; under a
-  /// memory budget Residency first decides whether the task must stream.
+  /// memory budget Residency first decides whether the task must stream,
+  /// and the task's residency is prepared (enforce_budget or prepare_stream)
+  /// before the lookup.
   detail::TaskPlan& plan_task(std::vector<PatternSpec> specs,
                               const Work* work, const CostHints& hints,
                               const char* label, bool splittable);
   /// One full Algorithm-1 planning pass, which lowers every active device
   /// to its command list and marks the monitor, then wires the plan;
   /// `streamed` plans every active device as W >= 1 row-window passes
-  /// (Residency::plan_windows). `reqs`: the task's requirements when
-  /// plan_task already recorded them (empty: record them here).
+  /// (Residency::plan_windows) after prepare_stream. `reqs`: the task's
+  /// requirements when plan_task already recorded them (empty: record them
+  /// here).
   detail::TaskPlan& build_plan(std::vector<PatternSpec> specs,
                                const Work* work, const CostHints& hints,
                                const char* label, bool splittable,
@@ -507,7 +510,8 @@ private:
   /// shape's per-dispatch counters added to stats_.
   void wire(detail::TaskPlan& plan);
   /// Hands a planned MAPS kernel (`factory`) or unmodified routine to the
-  /// devices; a streamed plan also drains the node before returning.
+  /// devices; a streamed plan also drains the node before returning, which
+  /// frees its pooled window temporaries for the next streamed task.
   TaskHandle dispatch(detail::TaskPlan& plan,
                       const detail::BodyFactory& factory,
                       UnmodifiedRoutine routine, void* context,
@@ -520,8 +524,8 @@ private:
                       const UnmodifiedRoutine& routine, void* context,
                       const std::vector<std::vector<std::byte>>& consts);
   /// Launches one binding on `stream` at cost `stats`: the kernel body, or
-  /// the routine over parameters and segments built from the binding's
-  /// operands.
+  /// the routine over parameters and segments filled into routine_args_
+  /// from the binding's operands.
   void launch_binding(sim::StreamId stream, int slot,
                       const detail::LaunchBinding& b,
                       const sim::LaunchStats& stats,
@@ -587,12 +591,21 @@ private:
                        const MemoryAnalyzer::Alloc& alloc);
 
   // --- Out-of-core mechanism (policy: residency.hpp) -------------------------
-  /// Every residency change invalidates in-flight commands and cached plans:
-  /// drain the node and drop the plan cache.
+  /// Every residency change that frees a buffer invalidates in-flight
+  /// commands and cached plans: drain the node and drop the plan cache.
   void invalidate_plans();
-  /// Spills Residency's victims on every segment's slot until the task's
-  /// datums fit; throws OutOfCoreError when they cannot.
+  /// Spills Residency's victims (pooled window temporaries first) on every
+  /// segment's slot until the task's datums fit; throws OutOfCoreError when
+  /// they cannot.
   void enforce_budget(const std::vector<PatternSpec>& specs, int slots_eff);
+  /// The residency half of a streamed task, run before the cache lookup on
+  /// builds and replays alike: drains the node, flushes the inputs' dirty
+  /// rows to the host and evicts the stream victims (and pooled temporaries
+  /// that no longer fit) on every segment's slot, recording each segment's
+  /// pinned bytes in stream_pinned_.
+  void prepare_stream(const std::vector<PatternSpec>& specs,
+                      const std::vector<std::vector<SegmentReq>>& reqs,
+                      const char* label);
   /// Writes one (datum, slot) allocation's dirty rows back to the bound host
   /// buffer, marks the holding spilled, resets the location's ordering maps
   /// and frees the buffer. Callers first quiesce in-flight work and drop the
@@ -651,9 +664,17 @@ private:
   std::unordered_map<std::pair<const void*, int>, sim::Buffer*, PtrIntPairHash>
       staging_;
   detail::PlanCache cache_;
+  /// The fingerprint's settings words, refilled per lookup.
+  std::vector<std::uint64_t> config_;
+  /// Per segment of the streamed task being planned: bytes of residents its
+  /// windows must fit beside (Residency::stream_victims).
+  std::vector<std::size_t> stream_pinned_;
   /// The dispatch in flight: every build and replay wires it and dispatch
   /// consumes it, so its vectors keep their capacity from task to task.
   detail::TaskPlan plan_;
+  /// The arguments of the routine launch in flight, refilled per launch (a
+  /// routine's reference to them ends with its call).
+  RoutineArgs routine_args_;
   /// mutable: stats() refreshes the exec-pool counters on read.
   mutable SchedulerStats stats_;
   /// First exception raised while issuing commands; WaitAll rethrows it.

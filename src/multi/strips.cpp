@@ -243,11 +243,12 @@ void lower_strips(PlanShape& shape, DevicePlan& dp) {
 }
 
 void lower_windows(PlanShape& shape, DevicePlan& dp, bool prefetch) {
-  // The node is drained when a streamed plan is built, so nothing outside
-  // the plan needs waiting on: persistent fills go first on the copy
-  // stream, then every window refills on the copy stream, computes on the
-  // compute stream and drains on the second copy stream, chained by its
-  // inputs-ready, kernel-done and drain-done events.
+  // prepare_stream drains the node before every dispatch of a streamed
+  // plan, built or replayed, so nothing outside the plan needs waiting on:
+  // persistent fills go first on the copy stream, then every window
+  // refills on the copy stream, computes on the compute stream and drains
+  // on the second copy stream, chained by its inputs-ready, kernel-done and
+  // drain-done events.
   const auto copies = [&](std::uint32_t begin, std::uint32_t end,
                           StreamOf stream) {
     for (std::uint32_t i = begin; i < end; ++i) {

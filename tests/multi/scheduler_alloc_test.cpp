@@ -12,6 +12,7 @@
 #include "apps/game_of_life.hpp"
 #include "multi/maps_multi.hpp"
 #include "sim/presets.hpp"
+#include "simblas/simblas.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -41,7 +42,7 @@ using namespace maps::multi;
 // counted step is drained (a warm drain allocates nothing, see
 // NodeTest.TimingOnlyDrainAllocatesNothing), so a growing command backlog
 // does not add stream-queue segments to the count.
-TEST(SchedulerAllocTest, WarmTimingOnlyGolInvokeAllocatesAtMost32) {
+TEST(SchedulerAllocTest, WarmTimingOnlyGolInvokeAllocatesAtMost4) {
   sim::Node node(sim::homogeneous_node(sim::titan_black(), 4),
                  sim::ExecMode::TimingOnly);
   Scheduler sched(node);
@@ -75,7 +76,50 @@ TEST(SchedulerAllocTest, WarmTimingOnlyGolInvokeAllocatesAtMost32) {
   EXPECT_EQ(sched.stats().cache_hits, 1196u);
   std::printf("allocations per warm Invoke: %.3f\n",
               static_cast<double>(allocs) / kCounted);
-  EXPECT_LE(allocs, 32u * kCounted);
+  EXPECT_LE(allocs, 4u * kCounted);
+}
+
+// A warm, replayed streamed GEMM task: perfbench's gemm_out_of_core chain
+// (4 GTX 780, TimingOnly, a quarter of the per-device working set), each
+// counted step drained. What remains per task is the residency preparation,
+// the replay's wiring and the 44 window launches, whose routine makes a
+// kernel body each.
+TEST(SchedulerAllocTest, WarmTimingOnlyStreamedGemmTaskAllocatesAtMost100) {
+  constexpr std::size_t kM = 16384, kK = 2048, kN = 2048;
+  constexpr int kGpus = 4;
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), kGpus),
+                 sim::ExecMode::TimingOnly);
+  Scheduler sched(node);
+  sched.set_device_memory_budget(
+      (3 * kM * kK * sizeof(float) / kGpus + kK * kN * sizeof(float)) / 4);
+  std::vector<float> dummy(1);
+  Matrix<float> x(kK, kM, "X"), b(kN, kK, "B"), c(kN, kM, "C"),
+      d(kN, kM, "D");
+  for (Matrix<float>* m : {&x, &b, &c, &d}) {
+    m->Bind(dummy.data());
+  }
+  const auto step = [&] {
+    simblas::Gemm(sched, x, b, c);
+    simblas::Gemm(sched, c, b, d);
+    sched.MarkHostModified(b);
+    sched.WaitAll();
+  };
+  constexpr int kWarmup = 2, kCounted = 100;
+  for (int i = 0; i < kWarmup; ++i) {
+    step();
+  }
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < kCounted; ++i) {
+    step();
+  }
+  const std::size_t allocs = g_allocations.load() - before;
+  constexpr std::size_t kTasks = 2 * kCounted;
+
+  EXPECT_EQ(sched.stats().spill.streamed_tasks, 2u * (kWarmup + kCounted));
+  EXPECT_EQ(sched.stats().plans_built, 2u);
+  std::printf("allocations per warm streamed task: %.3f\n",
+              static_cast<double>(allocs) / kTasks);
+  EXPECT_LE(allocs, 100u * kTasks);
 }
 
 } // namespace
