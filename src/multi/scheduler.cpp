@@ -931,20 +931,48 @@ void Scheduler::issue_commands(
                      routine, context, consts);
       break;
     }
-    case Command::Record:
-      node_.record_event(plan.event(cmd.arg), stream);
+    case Command::Record: {
+      const sim::EventId event = plan.event(cmd.arg);
+      if (node_.record_event(event, stream) == 1) {
+        if (recorded_on_.empty()) {
+          recorded_base_ = event;
+        }
+        if (event >= recorded_base_) {
+          const auto i = static_cast<std::size_t>(event - recorded_base_);
+          if (i >= recorded_on_.size()) {
+            recorded_on_.resize(i + 1, -1);
+          }
+          recorded_on_[i] = stream;
+        }
+      }
       break;
+    }
     case Command::Wait:
-      node_.wait_event_generation(stream, plan.event(cmd.arg), 1);
+      wait_unless_ordered(stream, plan.event(cmd.arg));
       break;
     case Command::WaitSet:
       for (std::uint32_t k = cmd.arg == 0 ? 0 : plan.wait_sets[cmd.arg - 1];
            k < plan.wait_sets[cmd.arg]; ++k) {
-        node_.wait_event_generation(stream, plan.waits[k], 1);
+        wait_unless_ordered(stream, plan.waits[k]);
       }
       break;
     }
   }
+}
+
+void Scheduler::wait_unless_ordered(sim::StreamId stream,
+                                    sim::EventId event) {
+  // The record precedes this wait in the stream's FIFO, so the wait is
+  // ready no later than the stream's next command and takes no time: the
+  // node's timeline is the same without it.
+  if (event >= recorded_base_ &&
+      static_cast<std::size_t>(event - recorded_base_) < recorded_on_.size() &&
+      recorded_on_[static_cast<std::size_t>(event - recorded_base_)] ==
+          stream) {
+    ++stats_.waits_elided;
+    return;
+  }
+  node_.wait_event_generation(stream, event, 1);
 }
 
 void Scheduler::set_sanitizer_enabled(bool on) {
@@ -1829,6 +1857,7 @@ void Scheduler::Wait(TaskHandle handle) {
 void Scheduler::WaitAll() {
   rethrow_issue_error();
   node_.synchronize();
+  recorded_on_.clear();
 }
 
 std::size_t Scheduler::gathered_count(const Datum& datum) const {

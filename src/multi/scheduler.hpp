@@ -129,6 +129,11 @@ struct SchedulerStats {
   /// eviction write-backs, refills of previously spilled rows, and streamed
   /// multi-pass tasks. All-zero under the default unlimited budget.
   SpillStats spill;
+  /// Waits the issue loop left out because their event's first record was
+  /// issued earlier on the waiting stream itself: stream order already
+  /// implies them, and a zero-duration wait behind its own record moves no
+  /// simulated time.
+  std::uint64_t waits_elided = 0;
 };
 
 class Scheduler {
@@ -523,6 +528,9 @@ private:
                       const detail::BodyFactory& factory,
                       const UnmodifiedRoutine& routine, void* context,
                       const std::vector<std::vector<std::byte>>& consts);
+  /// Enqueues `stream`'s wait on the first record of `event`, unless that
+  /// record was issued by issue_commands on `stream` itself (recorded_on_).
+  void wait_unless_ordered(sim::StreamId stream, sim::EventId event);
   /// Launches one binding on `stream` at cost `stats`: the kernel body, or
   /// the routine over parameters and segments filled into routine_args_
   /// from the binding's operands.
@@ -672,6 +680,11 @@ private:
   /// The dispatch in flight: every build and replay wires it and dispatch
   /// consumes it, so its vectors keep their capacity from task to task.
   detail::TaskPlan plan_;
+  /// Stream of each event's first record issued by issue_commands, indexed
+  /// by event - recorded_base_ (-1: none). Cleared by WaitAll; a missing
+  /// entry only keeps a wait.
+  std::vector<sim::StreamId> recorded_on_;
+  sim::EventId recorded_base_ = 0;
   /// The arguments of the routine launch in flight, refilled per launch (a
   /// routine's reference to them ends with its call).
   RoutineArgs routine_args_;

@@ -6,40 +6,44 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "sim/cost_model.hpp"
 
 namespace sim {
 
-namespace {
-constexpr double kHostFuncDefaultUs = 1.0;
-} // namespace
-
-// One enqueued stream command. A plain struct (not a variant) keeps the event
-// loop simple; unused fields stay empty.
+// One enqueued stream command: a compact record with its costs fixed at
+// enqueue. Bodies and labels live in the Node's side tables; unused fields
+// stay at their defaults.
 struct Node::Command {
-  enum class Kind { Kernel, Copy, HostFunc, RecordEvent, WaitEvent } kind;
+  enum class Kind : std::uint8_t {
+    Kernel, Copy, HostFunc, RecordEvent, WaitEvent
+  };
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  Kind kind = Kind::Kernel;
+  /// Copy: legs at legs_[first_leg] (0: `use` for the whole duration).
+  std::uint8_t nlegs = 0;
+  /// Copy: path class, for the byte accounting.
+  LinkClass link = LinkClass::IntraDevice;
+  std::uint32_t body = kNone;  ///< bodies_ index
+  std::uint32_t label = kNone; ///< Kernel: labels_ index (traced only)
+  std::uint32_t first_leg = 0;
+  /// RecordEvent / WaitEvent
+  EventId event = -1;
+  std::uint64_t event_generation = 0;
 
   /// Host time at enqueue; the command cannot start earlier (the host had
   /// not issued it yet).
   double issue_floor_s = 0.0;
-
-  // Kernel
-  LaunchStats stats;
-  std::function<void()> body; // also used by Copy (the data mover) & HostFunc
+  double duration_s = 0.0;
+  double setup_s = 0.0; ///< Copy: share that may overlap a busy link
 
   // Copy
   Endpoint src, dst;
   std::size_t bytes = 0;
-  bool host_staged = false;
-  double duration_override_s = -1.0; ///< >= 0 replaces the topology cost
-
-  // HostFunc
-  double host_cost_us = kHostFuncDefaultUs;
-
-  // RecordEvent / WaitEvent
-  EventId event = -1;
-  std::uint64_t event_generation = 0;
+  Topology::LinkUse use;
 };
 
 struct Node::StreamState {
@@ -52,14 +56,13 @@ struct Node::StreamState {
   const Command& front() const {
     return segments[begin / kSegment][begin % kSegment];
   }
-  Command& push() {
+  void push(const Command& cmd) {
     const std::size_t seg = end / kSegment;
     if (seg == segments.size()) {
       segments.emplace_back().reserve(kSegment);
     }
-    Command& cmd = segments[seg].emplace_back();
+    segments[seg].push_back(cmd);
     ++end;
-    return cmd;
   }
   void pop_front() {
     if (++begin == end) {
@@ -122,6 +125,10 @@ Node::Node(std::vector<DeviceSpec> specs, Topology topo, ExecMode mode)
   }
   static_assert(sizeof(EventState) <= 24,
                 "the event table grows with every task: keep entries small");
+  static_assert(std::is_trivially_destructible_v<Command>,
+                "a drain pops commands without running destructors");
+  static_assert(sizeof(Command) <= 96,
+                "every queued command is a record: keep it compact");
   const bool functional = mode_ == ExecMode::Functional;
   engines_.resize(specs_.size());
   links_.resize(static_cast<std::size_t>(
@@ -203,78 +210,6 @@ EventId Node::create_events(int n) {
   return first;
 }
 
-void Node::enqueue(StreamId stream, Command cmd) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cmd.issue_floor_s = host_time_s_;
-  streams_.at(static_cast<std::size_t>(stream)).push() = std::move(cmd);
-}
-
-void Node::memcpy_h2d(StreamId stream, Buffer* dst, std::size_t dst_off,
-                      const void* src, std::size_t bytes) {
-  assert(dst != nullptr && dst_off + bytes <= dst->size());
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::host();
-  c.dst = Endpoint::dev(dst->device());
-  c.bytes = bytes;
-  if (functional()) {
-    c.body = [=] { std::memcpy(dst->data() + dst_off, src, bytes); };
-  }
-  enqueue(stream, std::move(c));
-}
-
-void Node::memcpy_d2h(StreamId stream, void* dst, Buffer* src,
-                      std::size_t src_off, std::size_t bytes) {
-  assert(src != nullptr && src_off + bytes <= src->size());
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::dev(src->device());
-  c.dst = Endpoint::host();
-  c.bytes = bytes;
-  if (functional()) {
-    c.body = [=] { std::memcpy(dst, src->data() + src_off, bytes); };
-  }
-  enqueue(stream, std::move(c));
-}
-
-void Node::memcpy_p2p(StreamId stream, Buffer* dst, std::size_t dst_off,
-                      Buffer* src, std::size_t src_off, std::size_t bytes) {
-  assert(src != nullptr && dst != nullptr);
-  assert(src_off + bytes <= src->size() && dst_off + bytes <= dst->size());
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::dev(src->device());
-  c.dst = Endpoint::dev(dst->device());
-  // Without peer access (devices on different cluster nodes) the transfer
-  // stages through the hosts and the network.
-  c.host_staged = !topo_.peer_enabled(src->device(), dst->device());
-  c.bytes = bytes;
-  if (functional()) {
-    c.body = [=] {
-      std::memmove(dst->data() + dst_off, src->data() + src_off, bytes);
-    };
-  }
-  enqueue(stream, std::move(c));
-}
-
-void Node::memcpy_p2p_host_staged(StreamId stream, Buffer* dst,
-                                  std::size_t dst_off, Buffer* src,
-                                  std::size_t src_off, std::size_t bytes) {
-  assert(src != nullptr && dst != nullptr);
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::dev(src->device());
-  c.dst = Endpoint::dev(dst->device());
-  c.bytes = bytes;
-  c.host_staged = true;
-  if (functional()) {
-    c.body = [=] {
-      std::memmove(dst->data() + dst_off, src->data() + src_off, bytes);
-    };
-  }
-  enqueue(stream, std::move(c));
-}
-
 namespace {
 void copy_2d(std::byte* dst, std::size_t dst_pitch, const std::byte* src,
              std::size_t src_pitch, std::size_t row_bytes, std::size_t height) {
@@ -282,46 +217,138 @@ void copy_2d(std::byte* dst, std::size_t dst_pitch, const std::byte* src,
     std::memmove(dst + r * dst_pitch, src + r * src_pitch, row_bytes);
   }
 }
+
+/// A copy's data mover, made only where it runs: a TimingOnly node never
+/// runs one, and wrapping its captures may allocate.
+template <typename F> std::function<void()> functional_body(bool on, F&& f) {
+  return on ? std::function<void()>(std::forward<F>(f)) : nullptr;
+}
+
+/// Bytes a pitched 2D region spans from its first byte.
+std::size_t span_2d(std::size_t pitch, std::size_t row_bytes,
+                    std::size_t height) {
+  return height == 0 ? 0 : (height - 1) * pitch + row_bytes;
+}
 } // namespace
+
+std::uint32_t Node::store_body(std::function<void()>& body) {
+  if (!body || !functional()) {
+    return Command::kNone;
+  }
+  bodies_.push_back(std::move(body));
+  return static_cast<std::uint32_t>(bodies_.size() - 1);
+}
+
+void Node::push_locked(StreamState& st, Command& cmd) {
+  cmd.issue_floor_s = host_time_s_;
+  st.push(cmd);
+}
+
+void Node::enqueue_copy(StreamId stream, Endpoint src, Endpoint dst,
+                        std::size_t bytes, bool host_staged,
+                        std::function<void()> body,
+                        double duration_override_s) {
+  Command c;
+  c.kind = Command::Kind::Copy;
+  c.src = src;
+  c.dst = dst;
+  c.bytes = bytes;
+  c.link = topo_.link_class(src, dst, host_staged);
+  c.setup_s = copy_setup_seconds(src, dst, host_staged);
+  Topology::CopyLeg legs[3];
+  int nlegs = 0;
+  if (duration_override_s >= 0) {
+    // An override replaces the whole cost model, legs included.
+    c.duration_s = duration_override_s;
+  } else {
+    c.duration_s = copy_duration(src, dst, bytes, host_staged);
+    nlegs = topo_.copy_legs(src, dst, bytes, host_staged, legs);
+  }
+  if (nlegs == 0) {
+    c.use = topo_.link_use(src, dst, host_staged);
+  }
+  c.nlegs = static_cast<std::uint8_t>(nlegs);
+  std::lock_guard<std::mutex> lock(mutex_);
+  StreamState& st = streams_.at(static_cast<std::size_t>(stream));
+  c.first_leg = static_cast<std::uint32_t>(legs_.size());
+  legs_.insert(legs_.end(), legs, legs + nlegs);
+  c.body = store_body(body);
+  push_locked(st, c);
+}
+
+void Node::memcpy_h2d(StreamId stream, Buffer* dst, std::size_t dst_off,
+                      const void* src, std::size_t bytes) {
+  assert(dst != nullptr && dst_off + bytes <= dst->size());
+  enqueue_copy(stream, Endpoint::host(), Endpoint::dev(dst->device()), bytes,
+               false, functional_body(functional(), [=] {
+                 std::memcpy(dst->data() + dst_off, src, bytes);
+               }));
+}
+
+void Node::memcpy_d2h(StreamId stream, void* dst, Buffer* src,
+                      std::size_t src_off, std::size_t bytes) {
+  assert(src != nullptr && src_off + bytes <= src->size());
+  enqueue_copy(stream, Endpoint::dev(src->device()), Endpoint::host(), bytes,
+               false, functional_body(functional(), [=] {
+                 std::memcpy(dst, src->data() + src_off, bytes);
+               }));
+}
+
+void Node::memcpy_p2p(StreamId stream, Buffer* dst, std::size_t dst_off,
+                      Buffer* src, std::size_t src_off, std::size_t bytes) {
+  assert(src != nullptr && dst != nullptr);
+  assert(src_off + bytes <= src->size() && dst_off + bytes <= dst->size());
+  // Without peer access (devices on different cluster nodes) the transfer
+  // stages through the hosts and the network.
+  enqueue_copy(stream, Endpoint::dev(src->device()),
+               Endpoint::dev(dst->device()), bytes,
+               !topo_.peer_enabled(src->device(), dst->device()),
+               functional_body(functional(), [=] {
+                 std::memmove(dst->data() + dst_off, src->data() + src_off,
+                              bytes);
+               }));
+}
+
+void Node::memcpy_p2p_host_staged(StreamId stream, Buffer* dst,
+                                  std::size_t dst_off, Buffer* src,
+                                  std::size_t src_off, std::size_t bytes) {
+  assert(src != nullptr && dst != nullptr);
+  assert(src_off + bytes <= src->size() && dst_off + bytes <= dst->size());
+  enqueue_copy(stream, Endpoint::dev(src->device()),
+               Endpoint::dev(dst->device()), bytes, true,
+               functional_body(functional(), [=] {
+                 std::memmove(dst->data() + dst_off, src->data() + src_off,
+                              bytes);
+               }));
+}
 
 void Node::memcpy_2d_h2d(StreamId stream, Buffer* dst, std::size_t dst_off,
                          std::size_t dst_pitch, const void* src,
                          std::size_t src_pitch, std::size_t row_bytes,
                          std::size_t height) {
   assert(dst != nullptr &&
-         dst_off + (height == 0 ? 0 : (height - 1) * dst_pitch + row_bytes) <=
-             dst->size());
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::host();
-  c.dst = Endpoint::dev(dst->device());
-  c.bytes = row_bytes * height;
-  if (functional()) {
-    c.body = [=] {
-      copy_2d(dst->data() + dst_off, dst_pitch,
-              static_cast<const std::byte*>(src), src_pitch, row_bytes, height);
-    };
-  }
-  enqueue(stream, std::move(c));
+         dst_off + span_2d(dst_pitch, row_bytes, height) <= dst->size());
+  enqueue_copy(stream, Endpoint::host(), Endpoint::dev(dst->device()),
+               row_bytes * height, false,
+               functional_body(functional(), [=] {
+                 copy_2d(dst->data() + dst_off, dst_pitch,
+                         static_cast<const std::byte*>(src), src_pitch,
+                         row_bytes, height);
+               }));
 }
 
 void Node::memcpy_2d_d2h(StreamId stream, void* dst, std::size_t dst_pitch,
                          Buffer* src, std::size_t src_off,
                          std::size_t src_pitch, std::size_t row_bytes,
                          std::size_t height) {
-  assert(src != nullptr);
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::dev(src->device());
-  c.dst = Endpoint::host();
-  c.bytes = row_bytes * height;
-  if (functional()) {
-    c.body = [=] {
-      copy_2d(static_cast<std::byte*>(dst), dst_pitch, src->data() + src_off,
-              src_pitch, row_bytes, height);
-    };
-  }
-  enqueue(stream, std::move(c));
+  assert(src != nullptr &&
+         src_off + span_2d(src_pitch, row_bytes, height) <= src->size());
+  enqueue_copy(stream, Endpoint::dev(src->device()), Endpoint::host(),
+               row_bytes * height, false,
+               functional_body(functional(), [=] {
+                 copy_2d(static_cast<std::byte*>(dst), dst_pitch,
+                         src->data() + src_off, src_pitch, row_bytes, height);
+               }));
 }
 
 void Node::memcpy_2d_p2p(StreamId stream, Buffer* dst, std::size_t dst_off,
@@ -329,78 +356,70 @@ void Node::memcpy_2d_p2p(StreamId stream, Buffer* dst, std::size_t dst_off,
                          std::size_t src_off, std::size_t src_pitch,
                          std::size_t row_bytes, std::size_t height) {
   assert(src != nullptr && dst != nullptr);
-  Command c;
-  c.kind = Command::Kind::Copy;
-  c.src = Endpoint::dev(src->device());
-  c.dst = Endpoint::dev(dst->device());
-  c.bytes = row_bytes * height;
-  if (functional()) {
-    c.body = [=] {
-      copy_2d(dst->data() + dst_off, dst_pitch, src->data() + src_off,
-              src_pitch, row_bytes, height);
-    };
-  }
-  enqueue(stream, std::move(c));
+  assert(src_off + span_2d(src_pitch, row_bytes, height) <= src->size() &&
+         dst_off + span_2d(dst_pitch, row_bytes, height) <= dst->size());
+  enqueue_copy(stream, Endpoint::dev(src->device()),
+               Endpoint::dev(dst->device()), row_bytes * height, false,
+               functional_body(functional(), [=] {
+                 copy_2d(dst->data() + dst_off, dst_pitch,
+                         src->data() + src_off, src_pitch, row_bytes, height);
+               }));
 }
 
 void Node::memset_device(StreamId stream, Buffer* dst, std::size_t dst_off,
                          int value, std::size_t bytes) {
   assert(dst != nullptr && dst_off + bytes <= dst->size());
-  Command c;
-  c.kind = Command::Kind::Copy; // a memset occupies a copy engine
-  c.src = Endpoint::dev(dst->device());
-  c.dst = Endpoint::dev(dst->device());
-  c.bytes = bytes;
-  if (functional()) {
-    c.body = [=] { std::memset(dst->data() + dst_off, value, bytes); };
-  }
-  enqueue(stream, std::move(c));
+  // A memset occupies a copy engine.
+  enqueue_copy(stream, Endpoint::dev(dst->device()),
+               Endpoint::dev(dst->device()), bytes, false,
+               functional_body(functional(), [=] {
+                 std::memset(dst->data() + dst_off, value, bytes);
+               }));
 }
 
 void Node::stage_host_traffic(StreamId stream, std::size_t bytes,
                               double seconds) {
-  Command c;
-  c.kind = Command::Kind::Copy;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    c.dst = Endpoint::dev(streams_.at(static_cast<std::size_t>(stream)).device);
-  }
-  c.src = Endpoint::host();
-  c.bytes = bytes;
-  c.duration_override_s = seconds;
-  enqueue(stream, std::move(c));
+  enqueue_copy(stream, Endpoint::host(), Endpoint::dev(stream_device(stream)),
+               bytes, false, nullptr, seconds);
 }
 
-void Node::launch(StreamId stream, LaunchStats stats,
+void Node::launch(StreamId stream, const LaunchStats& stats,
                   std::function<void()> body) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  StreamState& st = streams_.at(static_cast<std::size_t>(stream));
   Command c;
   c.kind = Command::Kind::Kernel;
-  c.stats = std::move(stats);
-  if (functional()) {
-    c.body = std::move(body);
+  c.duration_s =
+      kernel_seconds(specs_[static_cast<std::size_t>(st.device)], stats);
+  if (traced()) {
+    c.label = static_cast<std::uint32_t>(labels_.size());
+    labels_.push_back(stats.label);
   }
-  enqueue(stream, std::move(c));
+  c.body = store_body(body);
+  push_locked(st, c);
 }
 
 void Node::host_func(StreamId stream, std::function<void()> fn,
                      double cost_us) {
   Command c;
   c.kind = Command::Kind::HostFunc;
-  c.host_cost_us = cost_us;
-  if (functional()) {
-    c.body = std::move(fn);
-  }
-  enqueue(stream, std::move(c));
+  c.duration_s = cost_us * 1e-6;
+  std::lock_guard<std::mutex> lock(mutex_);
+  StreamState& st = streams_.at(static_cast<std::size_t>(stream));
+  c.body = store_body(fn);
+  push_locked(st, c);
 }
 
-void Node::record_event(EventId event, StreamId stream) {
+std::uint64_t Node::record_event(EventId event, StreamId stream) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& ev = events_.at(static_cast<std::size_t>(event));
-  Command& c = streams_.at(static_cast<std::size_t>(stream)).push();
+  StreamState& st = streams_.at(static_cast<std::size_t>(stream));
+  Command c;
   c.kind = Command::Kind::RecordEvent;
   c.event = event;
-  c.event_generation = ++ev.enqueued_generation;
-  c.issue_floor_s = host_time_s_;
+  c.event_generation = ev.enqueued_generation + 1;
+  push_locked(st, c);
+  return ++ev.enqueued_generation;
 }
 
 void Node::wait_event(StreamId stream, EventId event) {
@@ -409,11 +428,11 @@ void Node::wait_event(StreamId stream, EventId event) {
   if (ev.enqueued_generation == 0) {
     return; // CUDA semantics: waiting on a never-recorded event is a no-op
   }
-  Command& c = streams_.at(static_cast<std::size_t>(stream)).push();
+  Command c;
   c.kind = Command::Kind::WaitEvent;
   c.event = event;
   c.event_generation = ev.enqueued_generation;
-  c.issue_floor_s = host_time_s_;
+  push_locked(streams_.at(static_cast<std::size_t>(stream)), c);
 }
 
 void Node::wait_event_generation(StreamId stream, EventId event,
@@ -424,53 +443,41 @@ void Node::wait_event_generation(StreamId stream, EventId event,
   }
   std::lock_guard<std::mutex> lock(mutex_);
   events_.at(static_cast<std::size_t>(event)); // bounds check
-  Command& c = streams_.at(static_cast<std::size_t>(stream)).push();
+  Command c;
   c.kind = Command::Kind::WaitEvent;
   c.event = event;
   c.event_generation = generation;
-  c.issue_floor_s = host_time_s_;
+  push_locked(streams_.at(static_cast<std::size_t>(stream)), c);
 }
 
-double Node::command_duration(const Command& cmd, int device) const {
-  switch (cmd.kind) {
-  case Command::Kind::Kernel:
-    return kernel_seconds(specs_[static_cast<std::size_t>(device)], cmd.stats);
-  case Command::Kind::Copy:
-    if (cmd.duration_override_s >= 0) {
-      return cmd.duration_override_s;
-    }
-    // Device-local operations (memsets, intra-device copies) never touch
-    // the interconnect: they run at global-memory bandwidth.
-    if (!cmd.src.is_host() && !cmd.dst.is_host() &&
-        cmd.src.device == cmd.dst.device && !cmd.host_staged) {
-      const auto& spec = specs_[static_cast<std::size_t>(cmd.src.device)];
-      return 3e-6 + static_cast<double>(cmd.bytes) /
-                        (spec.mem_bandwidth_gbps * 1e9 / 2.0);
-    }
-    return copy_seconds(topo_, cmd.src, cmd.dst, cmd.bytes, cmd.host_staged);
-  case Command::Kind::HostFunc:
-    return cmd.host_cost_us * 1e-6;
-  case Command::Kind::RecordEvent:
-  case Command::Kind::WaitEvent:
-    return 0.0;
+double Node::copy_duration(Endpoint src, Endpoint dst, std::size_t bytes,
+                           bool host_staged) const {
+  // Device-local operations (memsets, intra-device copies) never touch
+  // the interconnect: they run at global-memory bandwidth.
+  if (!src.is_host() && !dst.is_host() && src.device == dst.device &&
+      !host_staged) {
+    const auto& spec = specs_[static_cast<std::size_t>(src.device)];
+    return 3e-6 + static_cast<double>(bytes) /
+                      (spec.mem_bandwidth_gbps * 1e9 / 2.0);
   }
-  return 0.0;
+  return copy_seconds(topo_, src, dst, bytes, host_staged);
 }
 
-double Node::copy_setup_seconds(const Command& cmd) const {
-  if (cmd.src.is_host() && cmd.dst.is_host()) {
+double Node::copy_setup_seconds(Endpoint src, Endpoint dst,
+                                bool host_staged) const {
+  if (src.is_host() && dst.is_host()) {
     return 0.0;
   }
-  if (!cmd.src.is_host() && !cmd.dst.is_host() &&
-      cmd.src.device == cmd.dst.device && !cmd.host_staged) {
+  if (!src.is_host() && !dst.is_host() && src.device == dst.device &&
+      !host_staged) {
     return 3e-6;
   }
   // A staged transfer's first hop (device -> host) sets the pipelining
   // window; the rest of its duration genuinely occupies both host links.
-  if (cmd.host_staged) {
-    return topo_.latency_us(cmd.src, Endpoint::host()) * 1e-6;
+  if (host_staged) {
+    return topo_.latency_us(src, Endpoint::host()) * 1e-6;
   }
-  return topo_.latency_us(cmd.src, cmd.dst) * 1e-6;
+  return topo_.latency_us(src, dst) * 1e-6;
 }
 
 double Node::link_free_use(const Topology::LinkUse& use) const {
@@ -534,45 +541,33 @@ void Node::reserve_use(const Topology::LinkUse& use, double until,
   }
 }
 
-int Node::copy_legs_for(const Command& cmd, Topology::CopyLeg legs[3]) const {
-  if (cmd.kind != Command::Kind::Copy || cmd.duration_override_s >= 0) {
-    return 0; // an override replaces the whole cost model, legs included
-  }
-  return topo_.copy_legs(cmd.src, cmd.dst, cmd.bytes, cmd.host_staged, legs);
-}
-
 double Node::link_free_time(const Command& cmd) const {
-  Topology::CopyLeg legs[3];
-  const int nlegs = copy_legs_for(cmd, legs);
-  if (nlegs > 0) {
+  if (cmd.nlegs > 0) {
     // A leg's resource must be free by the time the leg starts, not by the
     // time the transfer starts: earlier legs of this transfer cover the gap.
     double start_s = 0.0;
-    for (int i = 0; i < nlegs; ++i) {
-      start_s = std::max(start_s, link_free_use(legs[i].use) - legs[i].offset_s);
+    for (std::uint32_t i = cmd.first_leg; i < cmd.first_leg + cmd.nlegs; ++i) {
+      start_s = std::max(start_s, link_free_use(legs_[i].use) - legs_[i].offset_s);
     }
     return start_s;
   }
-  return link_free_use(topo_.link_use(cmd.src, cmd.dst, cmd.host_staged));
+  return link_free_use(cmd.use);
 }
 
-void Node::reserve_links(const Command& cmd, double completion,
-                         double duration) {
-  Topology::CopyLeg legs[3];
-  const int nlegs = copy_legs_for(cmd, legs);
-  if (nlegs > 0) {
-    const double start = completion - duration;
-    for (int i = 0; i < nlegs; ++i) {
-      reserve_use(legs[i].use, start + legs[i].offset_s + legs[i].duration_s,
-                  legs[i].duration_s);
+void Node::reserve_links(const Command& cmd, double completion) {
+  if (cmd.nlegs > 0) {
+    const double start = completion - cmd.duration_s;
+    for (std::uint32_t i = cmd.first_leg; i < cmd.first_leg + cmd.nlegs; ++i) {
+      reserve_use(legs_[i].use, start + legs_[i].offset_s + legs_[i].duration_s,
+                  legs_[i].duration_s);
     }
     return;
   }
-  reserve_use(topo_.link_use(cmd.src, cmd.dst, cmd.host_staged), completion,
-              duration);
+  reserve_use(cmd.use, completion, cmd.duration_s);
 }
 
-void Node::account(const Command& cmd, int device, double duration) {
+void Node::account(const Command& cmd, int device) {
+  const double duration = cmd.duration_s;
   switch (cmd.kind) {
   case Command::Kind::Kernel:
     ++stats_.kernels_launched;
@@ -587,7 +582,7 @@ void Node::account(const Command& cmd, int device, double duration) {
     const std::size_t di =
         cmd.dst.is_host() ? 0 : static_cast<std::size_t>(cmd.dst.device) + 1;
     stats_.bytes_between[si][di] += cmd.bytes;
-    switch (topo_.link_class(cmd.src, cmd.dst, cmd.host_staged)) {
+    switch (cmd.link) {
     case LinkClass::IntraDevice:
       break; // never leaves the device: no interconnect traffic
     case LinkClass::PeerSameBus:
@@ -664,7 +659,7 @@ double Node::head_ready(const StreamState& st, int* engine) const {
     // DMA setup latency pipelines with the predecessor's data phase (the
     // bus is throughput-bound, not command-bound), so a queued copy may
     // begin its setup while the link drains.
-    ready = std::max(ready, link_free_time(cmd) - copy_setup_seconds(cmd));
+    ready = std::max(ready, link_free_time(cmd) - cmd.setup_s);
   }
   return ready;
 }
@@ -686,6 +681,33 @@ void Node::schedule_head(StreamId stream) {
   }
 }
 
+TraceEvent Node::trace_event(const Command& cmd, StreamId stream, int device,
+                             double start, double end) const {
+  TraceEvent te;
+  te.stream = stream;
+  te.device = device;
+  switch (cmd.kind) {
+  case Command::Kind::Kernel:
+    te.kind = 'K';
+    if (cmd.label != Command::kNone) {
+      te.label = labels_[cmd.label];
+    }
+    break;
+  case Command::Kind::Copy:
+    te.kind = 'C';
+    te.label = (cmd.src.is_host() ? std::string("H") : std::to_string(cmd.src.device)) +
+               "->" + (cmd.dst.is_host() ? std::string("H") : std::to_string(cmd.dst.device)) +
+               " " + std::to_string(cmd.bytes) + "B";
+    break;
+  case Command::Kind::HostFunc: te.kind = 'H'; break;
+  case Command::Kind::RecordEvent: te.kind = 'R'; te.label = "ev" + std::to_string(cmd.event); break;
+  case Command::Kind::WaitEvent: te.kind = 'W'; te.label = "ev" + std::to_string(cmd.event); break;
+  }
+  te.start = start;
+  te.end = end;
+  return te;
+}
+
 void Node::drain_locked() {
   // Deterministic list scheduler: repeatedly pick, among all stream heads
   // whose dependencies are satisfied, the command with the earliest start
@@ -703,24 +725,31 @@ void Node::drain_locked() {
     const auto [key, stream] = ready_heap_.back();
     ready_heap_.pop_back();
     auto& st = streams_[static_cast<std::size_t>(stream)];
+    const Command cmd = st.front();
+    // A record or wait head starts at its key. Its stream's last completion
+    // and its issue floor are fixed while it is the head. A wait's event
+    // completion moves only when a generation released out of order is
+    // recorded later, and that record, popped ahead of the wait and taking
+    // no time, completes no later than the wait's key.
     int engine = -1;
-    const double start = head_ready(st, &engine);
+    double start = key;
+    if (cmd.kind != Command::Kind::RecordEvent &&
+        cmd.kind != Command::Kind::WaitEvent) {
+      start = head_ready(st, &engine);
+    }
     assert(start >= key);
     if (start > key) {
       push_ready(start, stream);
       continue;
     }
 
-    const Command& cmd = st.front();
-    const double duration = command_duration(cmd, st.device);
-    const double completion = start + duration;
-
+    const double completion = start + cmd.duration_s;
     if (cmd.kind == Command::Kind::Kernel) {
       engines_[static_cast<std::size_t>(st.device)].compute_free_s = completion;
     } else if (cmd.kind == Command::Kind::Copy) {
       engines_[static_cast<std::size_t>(st.device)].copy_free_s[engine] =
           completion;
-      reserve_links(cmd, completion, duration);
+      reserve_links(cmd, completion);
     } else if (cmd.kind == Command::Kind::RecordEvent) {
       auto& ev = events_[static_cast<std::size_t>(cmd.event)];
       if (cmd.event_generation == 1) {
@@ -749,36 +778,15 @@ void Node::drain_locked() {
     }
     st.last_completion_s = completion;
     host_time_s_ = std::max(host_time_s_, completion);
-    account(cmd, st.device, duration);
+    account(cmd, st.device);
 
-    const bool traced = trace_enabled_ || exec_observer_;
-    TraceEvent te;
-    if (traced) {
-      te.stream = stream;
-      te.device = st.device;
-      switch (cmd.kind) {
-      case Command::Kind::Kernel: te.kind = 'K'; te.label = cmd.stats.label; break;
-      case Command::Kind::Copy:
-        te.kind = 'C';
-        te.label = (cmd.src.is_host() ? std::string("H") : std::to_string(cmd.src.device)) +
-                   "->" + (cmd.dst.is_host() ? std::string("H") : std::to_string(cmd.dst.device)) +
-                   " " + std::to_string(cmd.bytes) + "B";
-        break;
-      case Command::Kind::HostFunc: te.kind = 'H'; break;
-      case Command::Kind::RecordEvent: te.kind = 'R'; te.label = "ev" + std::to_string(cmd.event); break;
-      case Command::Kind::WaitEvent: te.kind = 'W'; te.label = "ev" + std::to_string(cmd.event); break;
-      }
-      te.start = start;
-      te.end = completion;
-    }
     // The command is consumed before any callback runs, so an observer or
     // body that throws never leaves it to be processed twice.
-    const bool kernel = cmd.kind == Command::Kind::Kernel;
-    std::function<void()> body = std::move(st.front().body);
     st.pop_front();
     schedule_head(stream);
 
-    if (traced) {
+    if (traced()) {
+      TraceEvent te = trace_event(cmd, stream, st.device, start, completion);
       if (exec_observer_) {
         exec_observer_(te);
       }
@@ -786,24 +794,26 @@ void Node::drain_locked() {
         trace_.push_back(std::move(te));
       }
     }
-    if (body) {
-      if (functional_exec_ != nullptr) {
-        if (kernel) {
-          // Defer the kernel sweep so the event loop keeps scheduling while
-          // it runs. Joining the device first keeps same-device kernels
-          // strictly ordered (at most one pending body per device); kernels
-          // only touch their own device's buffers, so cross-device overlap
-          // is safe.
-          functional_exec_->join_device(st.device);
-          functional_exec_->run_kernel_body(st.device, std::move(body));
-          continue;
-        }
-        // Copies, memsets and host functions read/write device and host
-        // memory across devices: every pending kernel body must land first.
-        functional_exec_->join_all();
-      }
-      body(); // Functional mode: run the kernel/copy/host function
+    if (cmd.body == Command::kNone) {
+      continue;
     }
+    std::function<void()> body = std::move(bodies_[cmd.body]);
+    if (functional_exec_ != nullptr) {
+      if (cmd.kind == Command::Kind::Kernel) {
+        // Defer the kernel sweep so the event loop keeps scheduling while
+        // it runs. Joining the device first keeps same-device kernels
+        // strictly ordered (at most one pending body per device); kernels
+        // only touch their own device's buffers, so cross-device overlap
+        // is safe.
+        functional_exec_->join_device(st.device);
+        functional_exec_->run_kernel_body(st.device, std::move(body));
+        continue;
+      }
+      // Copies, memsets and host functions read/write device and host
+      // memory across devices: every pending kernel body must land first.
+      functional_exec_->join_all();
+    }
+    body(); // Functional mode: run the kernel/copy/host function
   }
 
   // Either fully drained or deadlocked on unrecorded events.
@@ -827,6 +837,9 @@ void Node::drain_locked() {
     throw std::runtime_error(
         "sim::Node deadlock: streams blocked on unprocessed events:" + diag);
   }
+  bodies_.clear();
+  labels_.clear();
+  legs_.clear();
 }
 
 void Node::synchronize() {

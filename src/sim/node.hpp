@@ -13,7 +13,13 @@
 //  * peer-to-peer transfers over the node topology, with an explicit
 //    host-staged variant for the paper's baseline systems.
 //
-// Execution model: enqueue operations are cheap and thread-safe.
+// Execution model: enqueue operations are cheap and thread-safe. Each
+// command is a compact, trivially destructible record whose costs are fixed
+// at enqueue: a kernel's duration, a copy's duration, setup share and link
+// route (its LinkUse, or its legs when Topology::copy_legs applies), all
+// pure functions of the command, the immutable topology and the device
+// specs. Functional bodies, and kernel labels while tracing or an exec
+// observer is on, live in side tables the record indexes.
 // synchronize() runs a deterministic list scheduler that processes commands
 // in simulated-time order, respecting stream order, event dependencies and
 // engine availability; in Functional mode each command's body also executes,
@@ -29,12 +35,16 @@
 // commands run. A heap key is therefore a lower bound: the popped head whose
 // recomputed ready time equals its key is the earliest runnable command with
 // the lowest stream id on ties, and a stale key is re-keyed and pushed back.
+// Record and wait heads take no time and no engine, and their keys never go
+// stale: they start at their key.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -144,16 +154,20 @@ public:
   /// the point-to-point topology — e.g. CUBLAS-XT tile streaming (§5.4).
   void stage_host_traffic(StreamId stream, std::size_t bytes, double seconds);
 
-  /// Enqueues a kernel. `body` runs inside the event loop (Functional mode)
-  /// in dependency order; it must not call back into the Node.
-  void launch(StreamId stream, LaunchStats stats, std::function<void()> body);
+  /// Enqueues a kernel. Its duration is fixed here from `stats`; the label
+  /// is kept only while tracing or an exec observer is on. `body` runs
+  /// inside the event loop (Functional mode) in dependency order; it must
+  /// not call back into the Node.
+  void launch(StreamId stream, const LaunchStats& stats,
+              std::function<void()> body);
 
   /// Enqueues a host-side function (e.g. aggregation) that runs when the
   /// stream reaches it.
   void host_func(StreamId stream, std::function<void()> fn,
                  double cost_us = 1.0);
 
-  void record_event(EventId event, StreamId stream);
+  /// Returns the generation this record is (1 for the event's first).
+  std::uint64_t record_event(EventId event, StreamId stream);
   /// CUDA semantics: waits for the most recent record enqueued before this
   /// call; a wait on a never-recorded event is a no-op.
   void wait_event(StreamId stream, EventId event);
@@ -211,7 +225,18 @@ private:
   struct DeviceEngines;
   struct LinkState;
 
-  void enqueue(StreamId stream, Command cmd);
+  /// Under the lock: moves a functional body into the side table and
+  /// returns its index (Command::kNone when there is none to run).
+  std::uint32_t store_body(std::function<void()>& body);
+  /// Under the lock: appends `cmd` with the host clock as its issue floor.
+  void push_locked(StreamState& st, Command& cmd);
+  /// Enqueues a copy, fixing its duration, setup share and link route.
+  /// `duration_override_s` >= 0 replaces the topology cost (and the legs).
+  void enqueue_copy(StreamId stream, Endpoint src, Endpoint dst,
+                    std::size_t bytes, bool host_staged,
+                    std::function<void()> body,
+                    double duration_override_s = -1.0);
+  bool traced() const { return trace_enabled_ || exec_observer_ != nullptr; }
   void drain_locked();
   /// True when the stream's head waits on a generation not yet processed.
   bool head_parked(const StreamState& st) const;
@@ -223,8 +248,12 @@ private:
   void schedule_head(StreamId stream);
   /// Completion time of `generation` of `event` (0 while unprocessed).
   double event_completion(EventId event, std::uint64_t generation) const;
-  double command_duration(const Command& cmd, int device) const;
-  void account(const Command& cmd, int device, double duration);
+  /// Topology duration of a copy (without override).
+  double copy_duration(Endpoint src, Endpoint dst, std::size_t bytes,
+                       bool host_staged) const;
+  void account(const Command& cmd, int device);
+  TraceEvent trace_event(const Command& cmd, StreamId stream, int device,
+                         double start, double end) const;
   /// Earliest time every shared link a copy needs is free (0 for none).
   /// Network-crossing copies are evaluated leg-wise (Topology::copy_legs):
   /// each leg's resource need only be free by that leg's offset into the
@@ -233,18 +262,16 @@ private:
   double link_free_time(const Command& cmd) const;
   /// Setup-latency share of a copy's duration; this much may overlap the
   /// predecessor still draining the shared link.
-  double copy_setup_seconds(const Command& cmd) const;
+  double copy_setup_seconds(Endpoint src, Endpoint dst,
+                            bool host_staged) const;
   /// Marks the copy's shared links busy until `completion` (per leg for
   /// network-crossing copies: each resource is released when its leg ends).
-  void reserve_links(const Command& cmd, double completion, double duration);
+  void reserve_links(const Command& cmd, double completion);
   /// Max free-time over the resources in one LinkUse.
   double link_free_use(const Topology::LinkUse& use) const;
   /// Marks one LinkUse's resources busy until `until`, accounting
   /// `duration` of busy time to each.
   void reserve_use(const Topology::LinkUse& use, double until, double duration);
-  /// Fills `legs` for a copy command; 0 when no decomposition applies or
-  /// the duration was overridden (an override invalidates the leg model).
-  int copy_legs_for(const Command& cmd, Topology::CopyLeg legs[3]) const;
 
   std::vector<DeviceSpec> specs_;
   Topology topo_;
@@ -253,6 +280,12 @@ private:
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<DeviceAllocator>> allocators_;
   std::vector<StreamState> streams_;
+  /// Side tables of queued commands, indexed by Command::body / label /
+  /// first_leg. Emptied only by a drain that leaves every queue empty, so
+  /// a throwing body leaves the rest's entries in place.
+  std::vector<std::function<void()>> bodies_;
+  std::vector<std::string> labels_;
+  std::vector<Topology::CopyLeg> legs_;
   std::vector<EventState> events_;
   /// Completion times of generations >= 2 of re-recorded events, indexed
   /// by generation - 2.

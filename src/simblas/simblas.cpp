@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace simblas {
 
@@ -36,89 +38,100 @@ sim::LaunchStats streaming_stats(const char* label, std::size_t reads,
   return st;
 }
 
+/// Enqueues a routine's kernel. The body is made only on a functional node:
+/// a TimingOnly node never runs it, and wrapping its captures would cost a
+/// heap allocation per launch.
+template <typename Body>
+void launch(sim::Node& node, sim::StreamId stream, const sim::LaunchStats& st,
+            Body&& body) {
+  node.launch(stream, st,
+              node.functional() ? std::function<void()>(std::forward<Body>(body))
+                                : nullptr);
+}
+
 } // namespace
 
 void sgemm(sim::Node& node, int device, sim::StreamId stream, std::size_t m,
            std::size_t n, std::size_t k, float alpha, const float* a,
            const float* b, float beta, float* c) {
-  node.launch(stream, gemm_stats(node.spec(device), m, n, k),
-              [=] {
-                // Cache-friendly i-k-j loop.
-                for (std::size_t i = 0; i < m; ++i) {
-                  float* ci = c + i * n;
-                  if (beta == 0.0f) {
-                    std::memset(ci, 0, n * sizeof(float));
-                  } else if (beta != 1.0f) {
-                    for (std::size_t j = 0; j < n; ++j) {
-                      ci[j] *= beta;
-                    }
-                  }
-                  for (std::size_t p = 0; p < k; ++p) {
-                    const float aip = alpha * a[i * k + p];
-                    if (aip == 0.0f) {
-                      continue;
-                    }
-                    const float* bp = b + p * n;
-                    for (std::size_t j = 0; j < n; ++j) {
-                      ci[j] += aip * bp[j];
-                    }
-                  }
-                }
-              });
+  launch(node, stream, gemm_stats(node.spec(device), m, n, k),
+         [=] {
+           // Cache-friendly i-k-j loop.
+           for (std::size_t i = 0; i < m; ++i) {
+             float* ci = c + i * n;
+             if (beta == 0.0f) {
+               std::memset(ci, 0, n * sizeof(float));
+             } else if (beta != 1.0f) {
+               for (std::size_t j = 0; j < n; ++j) {
+                 ci[j] *= beta;
+               }
+             }
+             for (std::size_t p = 0; p < k; ++p) {
+               const float aip = alpha * a[i * k + p];
+               if (aip == 0.0f) {
+                 continue;
+               }
+               const float* bp = b + p * n;
+               for (std::size_t j = 0; j < n; ++j) {
+                 ci[j] += aip * bp[j];
+               }
+             }
+           }
+         });
 }
 
 void saxpy(sim::Node& node, int device, sim::StreamId stream, std::size_t n,
            float alpha, const float* x, float* y) {
   (void)device;
-  node.launch(stream,
-              streaming_stats("simblas::saxpy", 2 * n * sizeof(float),
-                              n * sizeof(float), 2 * n, n),
-              [=] {
-                for (std::size_t i = 0; i < n; ++i) {
-                  y[i] = alpha * x[i] + y[i];
-                }
-              });
+  launch(node, stream,
+         streaming_stats("simblas::saxpy", 2 * n * sizeof(float),
+                         n * sizeof(float), 2 * n, n),
+         [=] {
+           for (std::size_t i = 0; i < n; ++i) {
+             y[i] = alpha * x[i] + y[i];
+           }
+         });
 }
 
 void shad(sim::Node& node, int device, sim::StreamId stream, std::size_t n,
           const float* a, const float* b, float* out) {
   (void)device;
-  node.launch(stream,
-              streaming_stats("simblas::shad", 2 * n * sizeof(float),
-                              n * sizeof(float), n, n),
-              [=] {
-                for (std::size_t i = 0; i < n; ++i) {
-                  out[i] = a[i] * b[i];
-                }
-              });
+  launch(node, stream,
+         streaming_stats("simblas::shad", 2 * n * sizeof(float),
+                         n * sizeof(float), n, n),
+         [=] {
+           for (std::size_t i = 0; i < n; ++i) {
+             out[i] = a[i] * b[i];
+           }
+         });
 }
 
 void sdiv(sim::Node& node, int device, sim::StreamId stream, std::size_t n,
           const float* a, const float* b, float* out, float eps) {
   (void)device;
-  node.launch(stream,
-              streaming_stats("simblas::sdiv", 2 * n * sizeof(float),
-                              n * sizeof(float), n, n),
-              [=] {
-                for (std::size_t i = 0; i < n; ++i) {
-                  out[i] = a[i] / std::max(b[i], eps);
-                }
-              });
+  launch(node, stream,
+         streaming_stats("simblas::sdiv", 2 * n * sizeof(float),
+                         n * sizeof(float), n, n),
+         [=] {
+           for (std::size_t i = 0; i < n; ++i) {
+             out[i] = a[i] / std::max(b[i], eps);
+           }
+         });
 }
 
 void scolsum(sim::Node& node, int device, sim::StreamId stream, std::size_t m,
              std::size_t n, const float* a, float* out) {
   (void)device;
-  node.launch(stream,
-              streaming_stats("simblas::scolsum", m * n * sizeof(float),
-                              n * sizeof(float), m * n, m * n),
-              [=] {
-                for (std::size_t i = 0; i < m; ++i) {
-                  for (std::size_t j = 0; j < n; ++j) {
-                    out[j] += a[i * n + j];
-                  }
-                }
-              });
+  launch(node, stream,
+         streaming_stats("simblas::scolsum", m * n * sizeof(float),
+                         n * sizeof(float), m * n, m * n),
+         [=] {
+           for (std::size_t i = 0; i < m; ++i) {
+             for (std::size_t j = 0; j < n; ++j) {
+               out[j] += a[i * n + j];
+             }
+           }
+         });
 }
 
 bool GemmRoutine(maps::multi::RoutineArgs& args) {

@@ -11,6 +11,7 @@
 
 #include "apps/game_of_life.hpp"
 #include "multi/maps_multi.hpp"
+#include "nmf/nmf.hpp"
 #include "sim/presets.hpp"
 #include "simblas/simblas.hpp"
 
@@ -81,10 +82,10 @@ TEST(SchedulerAllocTest, WarmTimingOnlyGolInvokeAllocatesAtMost4) {
 
 // A warm, replayed streamed GEMM task: perfbench's gemm_out_of_core chain
 // (4 GTX 780, TimingOnly, a quarter of the per-device working set), each
-// counted step drained. What remains per task is the residency preparation,
-// the replay's wiring and the 44 window launches, whose routine makes a
-// kernel body each.
-TEST(SchedulerAllocTest, WarmTimingOnlyStreamedGemmTaskAllocatesAtMost100) {
+// counted step drained. What remains per task is the residency preparation
+// and the replay's wiring: the 44 window launches make no kernel body on a
+// TimingOnly node.
+TEST(SchedulerAllocTest, WarmTimingOnlyStreamedGemmTaskAllocatesAtMost49) {
   constexpr std::size_t kM = 16384, kK = 2048, kN = 2048;
   constexpr int kGpus = 4;
   sim::Node node(sim::homogeneous_node(sim::gtx780(), kGpus),
@@ -119,7 +120,35 @@ TEST(SchedulerAllocTest, WarmTimingOnlyStreamedGemmTaskAllocatesAtMost100) {
   EXPECT_EQ(sched.stats().plans_built, 2u);
   std::printf("allocations per warm streamed task: %.3f\n",
               static_cast<double>(allocs) / kTasks);
-  EXPECT_LE(allocs, 100u * kTasks);
+  EXPECT_LE(allocs, 49u * kTasks);
+}
+
+// A warm, replayed NMF iteration: bench/sched_overhead's NMF run (4 Titan
+// Black, TimingOnly, 4096 x 1024): four routine tasks, two gathers of Sum-
+// reduced outputs, a WaitAll and a MarkHostModified per iteration. run_maps
+// sets up its datums on every call, so the per-iteration count is the
+// difference between a long and a short run.
+TEST(SchedulerAllocTest, WarmTimingOnlyNmfIterationAllocatesAtMost114) {
+  const auto allocations = [](int iterations) {
+    const std::size_t before = g_allocations.load();
+    sim::Node node(sim::homogeneous_node(sim::titan_black(), 4),
+                   sim::ExecMode::TimingOnly);
+    Scheduler sched(node);
+    std::vector<float> v(1), w, h;
+    nmf::Shape shape;
+    shape.n = 4096;
+    shape.m = 1024;
+    nmf::run_maps(sched, v, w, h, shape, iterations);
+    EXPECT_EQ(sched.stats().plans_built + sched.stats().cache_hits,
+              4u * static_cast<std::uint64_t>(iterations));
+    return g_allocations.load() - before;
+  };
+  constexpr int kShort = 10, kLong = 110;
+  const std::size_t allocs = allocations(kLong) - allocations(kShort);
+  constexpr std::size_t kCounted = kLong - kShort;
+  std::printf("allocations per warm NMF iteration: %.3f\n",
+              static_cast<double>(allocs) / kCounted);
+  EXPECT_LE(allocs, 114u * kCounted);
 }
 
 } // namespace

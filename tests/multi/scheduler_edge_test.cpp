@@ -5,10 +5,13 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <map>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "apps/game_of_life.hpp"
 #include "multi/maps_multi.hpp"
 #include "sim/presets.hpp"
 
@@ -588,6 +591,96 @@ TEST(SchedulerEdgeTest, AllocationsHappenOnceAcrossIterations) {
   sched.WaitAll();
   EXPECT_EQ(node.device_mem_used(0), used_after_two);
   EXPECT_EQ(sched.analyzer().allocated_bytes(0), analyzer_bytes);
+}
+
+// --- Same-stream wait elision -------------------------------------------------
+// A warm TimingOnly Game of Life on 4 Titan Black, as in bench/sched_overhead:
+// 200 warm-up ticks, then `ticks` traced ones (a GatherAsync of the current
+// generation after every tenth when `gather`). Intermediate drains go to the
+// node directly, so the scheduler's record table survives them.
+struct GolWaits {
+  std::size_t waits = 0; ///< 'W' rows in the traced window
+  /// 'W' rows whose event's first record ran on the waiting stream itself
+  /// (the rest name a record on another stream).
+  std::size_t same_stream_waits = 0;
+  std::uint64_t elided = 0; ///< waits_elided over the traced window
+  double now_ms = 0;        ///< after the closing WaitAll
+};
+
+GolWaits run_gol_waits(int ticks, bool gather) {
+  sim::Node node(sim::homogeneous_node(sim::titan_black(), 4),
+                 sim::ExecMode::TimingOnly);
+  Scheduler sched(node);
+  std::vector<int> dummy(1); // TimingOnly: backing never touched
+  Matrix<int> a(2048, 2048, "A"), b(2048, 2048, "B");
+  a.Bind(dummy.data());
+  b.Bind(dummy.data());
+  using Tick = apps::gol::MapsTick<1, 1>;
+  sched.AnalyzeCall(Tick::Win(a), Tick::Out(b));
+  sched.AnalyzeCall(Tick::Win(b), Tick::Out(a));
+  int i = 0;
+  const auto step = [&] {
+    if (i++ % 2 == 0) {
+      sched.Invoke(Tick{}, Tick::Win(a), Tick::Out(b));
+    } else {
+      sched.Invoke(Tick{}, Tick::Win(b), Tick::Out(a));
+    }
+  };
+  while (i < 200) {
+    step();
+  }
+  node.synchronize();
+  node.enable_trace(true);
+  sched.reset_stats();
+  for (int t = 0; t < ticks; ++t) {
+    step();
+    if (gather && t % 10 == 5) {
+      sched.GatherAsync(i % 2 == 0 ? a : b);
+    }
+  }
+  node.synchronize();
+
+  GolWaits r;
+  r.elided = sched.stats().waits_elided;
+  std::map<std::string, int> recorded_on; // event label -> first record's stream
+  for (const sim::TraceEvent& te : node.trace()) {
+    if (te.kind == 'R') {
+      recorded_on.emplace(te.label, te.stream);
+    }
+  }
+  for (const sim::TraceEvent& te : node.trace()) {
+    if (te.kind == 'W') {
+      ++r.waits;
+      const auto it = recorded_on.find(te.label);
+      r.same_stream_waits += it != recorded_on.end() && it->second == te.stream;
+    }
+  }
+  sched.WaitAll();
+  r.now_ms = node.now_ms();
+  return r;
+}
+
+TEST(SchedulerEdgeTest, WaitsTheStreamOrderImpliesAreElided) {
+  // Each warm tick issued 48 waits before elision: 16 name an event the
+  // issue loop recorded earlier on the waiting stream, 32 one recorded on
+  // another stream. Only the 16 go, and the simulated clock is the one
+  // measured with all 48 enqueued.
+  constexpr int kTicks = 100;
+  const GolWaits r = run_gol_waits(kTicks, false);
+  EXPECT_EQ(r.waits, 32u * kTicks);
+  EXPECT_EQ(r.same_stream_waits, 0u);
+  EXPECT_EQ(r.elided, 16u * kTicks);
+  EXPECT_EQ(r.now_ms, 42.251963504762124);
+}
+
+TEST(SchedulerEdgeTest, WaitOnARecordMadeOutsideTheIssueLoopIsKept) {
+  // A gather's device-to-host copy records its event on a copy stream
+  // outside the issue loop; the next tick's copies on that stream wait on
+  // it, and those waits stay although stream order implies them.
+  const GolWaits r = run_gol_waits(100, true);
+  EXPECT_EQ(r.same_stream_waits, 56u);
+  EXPECT_EQ(r.elided, 1600u);
+  EXPECT_EQ(r.now_ms, 47.575251580952425);
 }
 
 } // namespace

@@ -519,10 +519,35 @@ TEST(NodeTest, TimingOnlyDrainAllocatesNothing) {
   };
   round(ev);
   node.synchronize(); // sizes the queues and the drain's heap
-  round(ev + 80);
+  // The counted window covers the enqueues too: a launch stores no label
+  // while untraced, however long, and a queued command owns no heap memory.
   const std::size_t before = g_allocations.load();
+  round(ev + 80);
   node.synchronize();
   EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(NodeDeathTest, CopiesOutsideTheirBuffersFailAtEnqueue) {
+  // A copy's cost is fixed at enqueue, so that is where a bad one stops.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::Node node = make_node(2, sim::ExecMode::TimingOnly);
+  const sim::StreamId s = node.default_stream(0);
+  sim::Buffer* a = node.malloc_device(0, 4096);
+  sim::Buffer* b = node.malloc_device(1, 4096);
+  std::byte host[1];
+  EXPECT_DEATH(node.memcpy_p2p_host_staged(s, b, 0, a, 1, 4096), "");
+  EXPECT_DEATH(node.memcpy_p2p_host_staged(s, b, 1, a, 0, 4096), "");
+  // 2D: the last row ends at (height - 1) * pitch + row_bytes.
+  EXPECT_DEATH(node.memcpy_2d_d2h(s, host, 0, a, 0, 1024, 1024, 5), "");
+  EXPECT_DEATH(node.memcpy_2d_d2h(s, host, 0, a, 1, 1024, 1024, 4), "");
+  EXPECT_DEATH(node.memcpy_2d_p2p(s, b, 0, 1024, a, 0, 2048, 1024, 3), "");
+  EXPECT_DEATH(node.memcpy_2d_p2p(s, b, 0, 2048, a, 0, 1024, 1024, 3), "");
+  // In range, up to the last byte: enqueued and drained.
+  node.memcpy_p2p_host_staged(s, b, 0, a, 0, 4096);
+  node.memcpy_2d_d2h(s, host, 0, a, 3072, 1024, 1, 1);
+  node.memcpy_2d_p2p(s, b, 0, 1536, a, 0, 1536, 1024, 3);
+  node.synchronize();
+  EXPECT_EQ(node.stats().copies, 3u);
 }
 
 // --- Random command graphs ---------------------------------------------------

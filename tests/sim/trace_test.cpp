@@ -56,4 +56,30 @@ TEST(TraceTest, CopyLabelsNameEndpointsAndBytes) {
   EXPECT_EQ(node.trace()[0].label, "0->1 256B");
 }
 
+TEST(TraceTest, ObserverAloneSeesKernelAndCopyLabels) {
+  // A kernel's label is kept while tracing or an observer is on at enqueue;
+  // copy labels are made at drain from the command itself.
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), 2),
+                 sim::ExecMode::TimingOnly);
+  sim::Buffer* a = node.malloc_device(0, 256);
+  sim::Buffer* b = node.malloc_device(1, 256);
+  sim::LaunchStats st;
+  st.label = "a kernel label longer than the small-string buffer";
+  const sim::StreamId s0 = node.default_stream(0);
+  node.launch(s0, st, nullptr); // enqueued unobserved: no label kept
+  std::vector<sim::TraceEvent> seen;
+  node.set_exec_observer([&](const sim::TraceEvent& te) { seen.push_back(te); });
+  node.launch(s0, st, nullptr);
+  node.memcpy_p2p(s0, b, 0, a, 0, 256);
+  node.synchronize();
+  EXPECT_TRUE(node.trace().empty());
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].kind, 'K');
+  EXPECT_EQ(seen[0].label, "");
+  EXPECT_EQ(seen[1].kind, 'K');
+  EXPECT_EQ(seen[1].label, st.label);
+  EXPECT_EQ(seen[2].kind, 'C');
+  EXPECT_EQ(seen[2].label, "0->1 256B");
+}
+
 } // namespace
